@@ -1,13 +1,14 @@
-// Analysis-plane fast path: fused merge-join correlation vs the legacy
-// AlignSeries + AntagonistCorrelation reference path, swept over suspect
-// count x correlation-window length.
+// Analysis-plane fast path: the production batched identification engine
+// (AntagonistIdentifier::AnalyzeBatched) vs the per-suspect AlignSeries +
+// AntagonistCorrelation reference (tests/testing/reference_correlation.h),
+// swept over suspect count x correlation-window length.
 //
 // Series shapes mirror an agent under dense (1 Hz) telemetry: the victim CPI
 // and every suspect usage series retain 2x the correlation window, exactly
 // what Agent keeps around for analysis (it trims at now - 2 * window). Each
 // measurement first proves the two paths bit-identical on the cell's inputs,
-// then times full Analyze() calls. Writes BENCH_antagonist_scale.json
-// (one JSON line) unless --smoke.
+// then times full analyses. Writes BENCH_antagonist_scale.json (one JSON
+// line) unless --smoke.
 
 #include <chrono>
 #include <cmath>
@@ -18,6 +19,7 @@
 
 #include "bench/common/report.h"
 #include "core/antagonist_identifier.h"
+#include "tests/testing/reference_correlation.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 #include "util/time_series.h"
@@ -57,16 +59,15 @@ TimeSeries MakeSuspect(MicroTime retain, int index) {
   return series;
 }
 
-// Times repeated full Analyze() calls, returning analyses per wall second.
-double MeasureAnalyses(AntagonistIdentifier& identifier, const TimeSeries& victim,
-                       const std::vector<AntagonistIdentifier::SuspectInput>& inputs,
-                       MicroTime now, int min_reps, double min_seconds) {
+// Times repeated calls of `analyze` (returns the ranked count), returning
+// analyses per wall second.
+template <typename Analyze>
+double MeasureAnalyses(const Analyze& analyze, int min_reps, double min_seconds) {
   int reps = 0;
   const auto start = std::chrono::steady_clock::now();
   double elapsed = 0.0;
   do {
-    volatile size_t sink =
-        identifier.Analyze(victim, /*cpi_threshold=*/2.0, inputs, now).size();
+    volatile size_t sink = analyze();
     (void)sink;
     ++reps;
     elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
@@ -85,40 +86,55 @@ Cell RunCell(int suspects, int window_minutes, bool smoke) {
   for (int i = 0; i < suspects; ++i) {
     usages.push_back(MakeSuspect(retain, i));
   }
-  std::vector<AntagonistIdentifier::SuspectInput> inputs;
+  // Zero-padded names keep the suspect table name-sorted, as the agent's is.
+  std::vector<SuspectInput> inputs;
   inputs.reserve(suspects);
   std::vector<std::string> names(suspects);
+  const std::string job = "suspect-job";
+  std::vector<AntagonistIdentifier::SuspectRow> rows;
+  rows.reserve(suspects);
   for (int i = 0; i < suspects; ++i) {
-    names[i] = StrFormat("suspect.%d", i);
-    inputs.push_back({names[i], "suspect-job", WorkloadClass::kBatch,
-                      JobPriority::kBestEffort, &usages[i]});
+    names[i] = StrFormat("suspect.%04d", i);
+    inputs.push_back({names[i], job, WorkloadClass::kBatch, JobPriority::kBestEffort,
+                      &usages[i]});
+    rows.push_back({&names[i], &job, WorkloadClass::kBatch, JobPriority::kBestEffort,
+                    &usages[i]});
   }
 
-  Cpi2Params fast_params;
-  fast_params.correlation_window = window;
-  fast_params.sample_period = kSamplePeriod;
-  Cpi2Params legacy_params = fast_params;
-  legacy_params.legacy_correlation_path = true;
-  AntagonistIdentifier fast(fast_params);
-  AntagonistIdentifier legacy(legacy_params);
+  Cpi2Params params;
+  params.correlation_window = window;
+  params.sample_period = kSamplePeriod;
+  AntagonistIdentifier fast(params);
+  std::vector<AntagonistIdentifier::RankedRef> ranked;
+  const auto fast_once = [&]() {
+    fast.AnalyzeBatched(victim, /*cpi_threshold=*/2.0, rows, AntagonistIdentifier::kNoSkip,
+                        now, &ranked);
+    return ranked.size();
+  };
+  const auto legacy_once = [&]() {
+    return ReferenceAnalyze(params, victim, /*cpi_threshold=*/2.0, inputs, now,
+                            ReferenceKernel::kAlignSeries)
+        .size();
+  };
 
   Cell cell;
   cell.suspects = suspects;
   cell.window_minutes = window_minutes;
 
   // Bit-identity on this cell's inputs before timing anything.
-  const auto fast_ranked = fast.Analyze(victim, 2.0, inputs, now);
-  const auto legacy_ranked = legacy.Analyze(victim, 2.0, inputs, now);
-  cell.identical = fast_ranked.size() == legacy_ranked.size() && !fast_ranked.empty();
-  for (size_t i = 0; cell.identical && i < fast_ranked.size(); ++i) {
-    cell.identical = fast_ranked[i].task == legacy_ranked[i].task &&
-                     fast_ranked[i].correlation == legacy_ranked[i].correlation;
+  fast_once();
+  const std::vector<Suspect> legacy_ranked = ReferenceAnalyze(
+      params, victim, 2.0, inputs, now, ReferenceKernel::kAlignSeries);
+  cell.identical = ranked.size() == legacy_ranked.size() && !ranked.empty();
+  for (size_t i = 0; cell.identical && i < ranked.size(); ++i) {
+    cell.identical = *rows[ranked[i].row].task == legacy_ranked[i].task &&
+                     ranked[i].correlation == legacy_ranked[i].correlation;
   }
 
   const int min_reps = smoke ? 2 : 5;
   const double min_seconds = smoke ? 0.01 : 0.25;
-  cell.legacy_per_sec = MeasureAnalyses(legacy, victim, inputs, now, min_reps, min_seconds);
-  cell.fast_per_sec = MeasureAnalyses(fast, victim, inputs, now, min_reps, min_seconds);
+  cell.legacy_per_sec = MeasureAnalyses(legacy_once, min_reps, min_seconds);
+  cell.fast_per_sec = MeasureAnalyses(fast_once, min_reps, min_seconds);
   cell.speedup = cell.legacy_per_sec > 0.0 ? cell.fast_per_sec / cell.legacy_per_sec : 0.0;
   return cell;
 }
@@ -126,8 +142,8 @@ Cell RunCell(int suspects, int window_minutes, bool smoke) {
 int Main(bool smoke) {
   SetMinLogLevel(LogLevel::kWarning);
   PrintHeader("antagonist_scale",
-              "Fused merge-join correlation vs legacy AlignSeries path: "
-              "full Analyze() throughput over suspects x window length");
+              "Batched identification engine vs per-suspect AlignSeries reference: "
+              "full-analysis throughput over suspects x window length");
   PrintPaperClaim("(engineering benchmark, no paper counterpart: section 4.2's "
                   "correlation must run at 1 analysis/sec/machine; this measures the "
                   "headroom the indexed/fused data plane buys)");

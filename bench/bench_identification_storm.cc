@@ -1,10 +1,11 @@
 // The batched identification engine under an anomaly storm: many victims on
 // one machine scored back-to-back against 100-400 co-resident suspects.
 //
-// Legacy timed unit = what HandleAnomaly's reference branch does per victim:
-// rebuild the SuspectInput vector (four string copies per co-resident task)
-// and run per-suspect Analyze() (which materializes a Suspect — two more
-// strings — per scored task). Batched timed unit = AnalyzeBatched() over
+// Legacy timed unit = what the agent's retired per-suspect branch did per
+// victim: rebuild a SuspectInput vector (four string copies per co-resident
+// task) and run the per-suspect reference ranking (ReferenceAnalyze from
+// tests/testing/reference_correlation.h, which materializes a Suspect — two
+// more strings — per scored task). Batched timed unit = AnalyzeBatched() over
 // the persistent interned table — the complete analysis; Suspect strings are
 // materialized only when an incident is built, and that cost is reported
 // separately as per-incident latency. Task names are deliberately longer
@@ -37,6 +38,7 @@
 
 #include "bench/common/report.h"
 #include "core/antagonist_identifier.h"
+#include "tests/testing/reference_correlation.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 #include "util/time_series.h"
@@ -89,13 +91,13 @@ struct AgentTables {
   std::unordered_map<uint64_t, TimeSeries> series;
 };
 
-// The legacy branch's per-victim work, verbatim from the deleted
+// The legacy branch's per-victim work, verbatim from the retired
 // HandleAnomaly reference path: walk the task map, hash-find each series,
-// copy the strings into a fresh SuspectInput vector, then Analyze.
-std::vector<Suspect> LegacyAnalysis(AntagonistIdentifier& identifier, const TimeSeries& victim,
+// copy the strings into a fresh SuspectInput vector, then rank per suspect.
+std::vector<Suspect> LegacyAnalysis(const Cpi2Params& params, const TimeSeries& victim,
                                     const std::string& victim_task, const AgentTables& tables,
                                     MicroTime now) {
-  std::vector<AntagonistIdentifier::SuspectInput> inputs;
+  std::vector<SuspectInput> inputs;
   inputs.reserve(tables.tasks.size());
   for (const auto& [task, meta] : tables.tasks) {
     if (task == victim_task) {
@@ -105,7 +107,7 @@ std::vector<Suspect> LegacyAnalysis(AntagonistIdentifier& identifier, const Time
     if (series_it == tables.series.end()) {
       continue;
     }
-    AntagonistIdentifier::SuspectInput input;
+    SuspectInput input;
     input.task = task;
     input.jobname = meta.jobname;
     input.workload_class = WorkloadClass::kBatch;
@@ -113,7 +115,7 @@ std::vector<Suspect> LegacyAnalysis(AntagonistIdentifier& identifier, const Time
     input.usage = &series_it->second;
     inputs.push_back(input);
   }
-  return identifier.Analyze(victim, /*cpi_threshold=*/2.0, inputs, now);
+  return ReferenceAnalyze(params, victim, /*cpi_threshold=*/2.0, inputs, now);
 }
 
 // The batched branch's incident materialization, verbatim from the agent.
@@ -123,13 +125,8 @@ std::vector<Suspect> Materialize(const std::vector<AntagonistIdentifier::Suspect
   out.reserve(ranked.size());
   for (const AntagonistIdentifier::RankedRef& ref : ranked) {
     const AntagonistIdentifier::SuspectRow& row = rows[ref.row];
-    Suspect suspect;
-    suspect.task = *row.task;
-    suspect.jobname = *row.jobname;
-    suspect.workload_class = row.workload_class;
-    suspect.priority = row.priority;
-    suspect.correlation = ref.correlation;
-    out.push_back(std::move(suspect));
+    out.push_back(
+        {*row.task, *row.jobname, row.workload_class, row.priority, ref.correlation});
   }
   return out;
 }
@@ -177,7 +174,6 @@ Cell RunCell(int suspects, bool smoke) {
   Cpi2Params params;
   params.sample_period = kSamplePeriod;
   AntagonistIdentifier batched(params);
-  AntagonistIdentifier legacy(params);
 
   Cell cell;
   cell.suspects = suspects;
@@ -190,7 +186,7 @@ Cell RunCell(int suspects, bool smoke) {
     batched.AnalyzeBatched(victim, 2.0, rows, AntagonistIdentifier::kNoSkip, now, &ranked);
     const std::vector<Suspect> batched_suspects = Materialize(rows, ranked);
     const std::vector<Suspect> legacy_suspects =
-        LegacyAnalysis(legacy, victim, victim_task, tables, now);
+        LegacyAnalysis(params, victim, victim_task, tables, now);
     cell.identical = cell.identical &&
                      batched_suspects.size() == legacy_suspects.size() &&
                      !batched_suspects.empty();
@@ -213,7 +209,7 @@ Cell RunCell(int suspects, bool smoke) {
   int legacy_rep = 0;
   const auto legacy_once = [&]() {
     volatile size_t sink =
-        LegacyAnalysis(legacy, victims[legacy_rep % kVictims], victim_task, tables, now)
+        LegacyAnalysis(params, victims[legacy_rep % kVictims], victim_task, tables, now)
             .size();
     (void)sink;
     ++legacy_rep;

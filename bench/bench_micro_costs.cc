@@ -19,6 +19,7 @@
 #include "harness/cluster_harness.h"
 #include "perf/sampler.h"
 #include "sim/machine.h"
+#include "tests/testing/reference_correlation.h"
 #include "util/rng.h"
 #include "util/string_util.h"
 #include "wire/sample_codec.h"
@@ -55,8 +56,8 @@ void MakeSeriesPair(int samples, Rng& rng, TimeSeries* victim, TimeSeries* usage
   }
 }
 
-// Legacy alignment: binary-searched NearestValue per victim point plus the
-// materialized pair vector.
+// Reference alignment (tests/testing/reference_correlation.h): binary-searched
+// NearestValue per victim point plus the materialized pair vector.
 void BM_AlignSeriesLegacy(benchmark::State& state) {
   Rng rng(4);
   TimeSeries victim;
@@ -71,9 +72,9 @@ void BM_AlignSeriesLegacy(benchmark::State& state) {
 }
 BENCHMARK(BM_AlignSeriesLegacy)->Arg(10)->Arg(60)->Arg(600);
 
-// The fused merge-join path over the same shapes: alignment + correlation in
-// one allocation-free sweep (compare against BM_AlignSeriesLegacy +
-// BM_AntagonistCorrelation at the same arg).
+// The fused merge-join reference over the same shapes: alignment +
+// correlation in one allocation-free sweep (compare against
+// BM_AlignSeriesLegacy + BM_AntagonistCorrelation at the same arg).
 void BM_FusedCorrelation(benchmark::State& state) {
   Rng rng(4);
   TimeSeries victim;
@@ -128,7 +129,8 @@ void BM_BatchedCorrelation(benchmark::State& state) {
 BENCHMARK(BM_BatchedCorrelation)->Arg(10)->Arg(50)->Arg(200);
 
 // The paper's full analysis: one victim against ~50 suspects over a
-// 10-minute window (their ~100 us number).
+// 10-minute window (their ~100 us number), through the production batched
+// engine over a name-sorted suspect table.
 void BM_FullAnalysisAgainstSuspects(benchmark::State& state) {
   const int suspects = static_cast<int>(state.range(0));
   Cpi2Params params;
@@ -139,16 +141,22 @@ void BM_FullAnalysisAgainstSuspects(benchmark::State& state) {
     victim.Append(i * kMicrosPerMinute, rng.Uniform(1.0, 4.0));
   }
   std::vector<TimeSeries> usage(static_cast<size_t>(suspects));
-  std::vector<AntagonistIdentifier::SuspectInput> inputs;
+  std::vector<std::string> names(static_cast<size_t>(suspects));
+  const std::string job = "job";
+  std::vector<AntagonistIdentifier::SuspectRow> rows;
   for (int s = 0; s < suspects; ++s) {
     for (int i = 0; i < 10; ++i) {
       usage[static_cast<size_t>(s)].Append(i * kMicrosPerMinute, rng.Uniform(0.0, 2.0));
     }
-    inputs.push_back({StrFormat("task.%d", s), "job", WorkloadClass::kBatch,
-                      JobPriority::kBestEffort, &usage[static_cast<size_t>(s)]});
+    names[static_cast<size_t>(s)] = StrFormat("task.%04d", s);
+    rows.push_back({&names[static_cast<size_t>(s)], &job, WorkloadClass::kBatch,
+                    JobPriority::kBestEffort, &usage[static_cast<size_t>(s)]});
   }
+  std::vector<AntagonistIdentifier::RankedRef> ranked;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(identifier.Analyze(victim, 2.0, inputs, 10 * kMicrosPerMinute));
+    identifier.AnalyzeBatched(victim, 2.0, rows, AntagonistIdentifier::kNoSkip,
+                              10 * kMicrosPerMinute, &ranked);
+    benchmark::DoNotOptimize(ranked.data());
   }
 }
 BENCHMARK(BM_FullAnalysisAgainstSuspects)->Arg(10)->Arg(50)->Arg(100);
@@ -196,7 +204,7 @@ BENCHMARK(BM_AggregatorAddSample);
 // vs the reference scan (arg 1), 10k incidents over 50 victim jobs.
 void BM_IncidentTopAntagonists(benchmark::State& state) {
   const bool legacy = state.range(0) != 0;
-  IncidentLog log(legacy);
+  IncidentLog log;
   Rng rng(9);
   for (int i = 0; i < 10000; ++i) {
     Incident incident;
@@ -212,8 +220,9 @@ void BM_IncidentTopAntagonists(benchmark::State& state) {
   }
   int victim = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        log.TopAntagonists(StrFormat("victim.%d", victim++ % 50), 0, 0, 10));
+    const std::string job = StrFormat("victim.%d", victim++ % 50);
+    benchmark::DoNotOptimize(legacy ? log.TopAntagonistsLegacy(job, 0, 0, 10)
+                                    : log.TopAntagonists(job, 0, 0, 10));
   }
 }
 BENCHMARK(BM_IncidentTopAntagonists)->Arg(0)->Arg(1);

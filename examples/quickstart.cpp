@@ -9,6 +9,8 @@
 // Build & run:  ./build/examples/quickstart
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "core/cpi2.h"
 
@@ -88,17 +90,27 @@ int Run() {
   }
 
   // --- 3. identify the antagonist -----------------------------------------
+  // The suspect table is what an Agent keeps per machine: one row per
+  // co-resident task, sorted by task name, pointing at stable name storage
+  // and at each task's usage series.
+  const std::string names[] = {"frontend.2", "mapreduce.7"};
+  const std::string jobs[] = {"frontend", "mapreduce"};
+  const std::vector<AntagonistIdentifier::SuspectRow> rows = {
+      {&names[0], &jobs[0], WorkloadClass::kLatencySensitive, JobPriority::kProduction,
+       &innocent_usage},
+      {&names[1], &jobs[1], WorkloadClass::kBatch, JobPriority::kBestEffort, &guilty_usage},
+  };
   AntagonistIdentifier identifier(params);
-  std::vector<AntagonistIdentifier::SuspectInput> suspects;
-  suspects.push_back({"mapreduce.7", "mapreduce", WorkloadClass::kBatch,
-                      JobPriority::kBestEffort, &guilty_usage});
-  suspects.push_back({"frontend.2", "frontend", WorkloadClass::kLatencySensitive,
-                      JobPriority::kProduction, &innocent_usage});
-  const auto ranked =
-      identifier.Analyze(victim_cpi, threshold, suspects, 15 * kMicrosPerMinute);
-  for (const Suspect& suspect : ranked) {
-    std::printf("suspect %-14s (%-17s) correlation %+0.2f\n", suspect.task.c_str(),
-                WorkloadClassName(suspect.workload_class), suspect.correlation);
+  std::vector<AntagonistIdentifier::RankedRef> refs;
+  identifier.AnalyzeBatched(victim_cpi, threshold, rows, AntagonistIdentifier::kNoSkip,
+                            15 * kMicrosPerMinute, &refs);
+  std::vector<Suspect> ranked;
+  for (const AntagonistIdentifier::RankedRef& ref : refs) {
+    const AntagonistIdentifier::SuspectRow& row = rows[ref.row];
+    ranked.push_back({*row.task, *row.jobname, row.workload_class, row.priority,
+                      ref.correlation});
+    std::printf("suspect %-14s (%-17s) correlation %+0.2f\n", row.task->c_str(),
+                WorkloadClassName(row.workload_class), ref.correlation);
   }
 
   // --- 4. enforce -----------------------------------------------------------

@@ -84,7 +84,6 @@ void Agent::Restart(MicroTime now) {
   sampler_.Clear();
   detector_.Clear();
   enforcement_.Reset();
-  outbox_.clear();
   batch_outbox_.clear();
   batch_encoder_.Reset();
   pending_count_ = 0;
@@ -123,36 +122,6 @@ void Agent::ArmRetryBackoff(MicroTime now) {
   ++outbox_attempts_;
 }
 
-void Agent::FlushOutbox(MicroTime now) {
-  if (batch_delivery_callback_) {
-    FlushOutboxBatched(now);
-  } else if (delivery_callback_) {
-    FlushOutboxPerSample(now);
-  }
-}
-
-void Agent::FlushOutboxPerSample(MicroTime now) {
-  if (now < outbox_retry_at_) {
-    return;
-  }
-  while (!outbox_.empty()) {
-    const DeliveryResult result = delivery_callback_(outbox_.front());
-    if (result == DeliveryResult::kUnavailable) {
-      ++health_.delivery_retries;
-      ArmRetryBackoff(now);
-      return;
-    }
-    if (result == DeliveryResult::kAck) {
-      ++health_.samples_delivered;
-    } else {
-      ++health_.samples_lost;
-    }
-    outbox_.pop_front();
-    outbox_attempts_ = 0;
-    outbox_retry_at_ = 0;
-  }
-}
-
 void Agent::MaybeSealPendingBatch(MicroTime now, bool force) {
   if (pending_count_ == 0) {
     return;
@@ -174,7 +143,10 @@ void Agent::MaybeSealPendingBatch(MicroTime now, bool force) {
   pending_consumed_ = 0;
 }
 
-void Agent::FlushOutboxBatched(MicroTime now) {
+void Agent::FlushOutbox(MicroTime now) {
+  if (!windowed_batch_delivery_callback_) {
+    return;  // no transport installed
+  }
   // Sealing is independent of backoff: an aged-out open batch must join the
   // queue even while the transport is waiting out a retry.
   MaybeSealPendingBatch(now, /*force=*/options_.params.wire_batch_max_age == 0);
@@ -184,16 +156,13 @@ void Agent::FlushOutboxBatched(MicroTime now) {
   // Walk the queue by index instead of hammering the front: a windowed
   // transport answers {in_flight} for batches riding the wire, and the pass
   // advances past them to launch the next ones — up to the transport's
-  // window of batches are outstanding after one pass. With a plain
-  // (non-windowed) callback in_flight is never set, the index stays at 0,
-  // and this degenerates to the classic front-only stop-and-wait loop.
+  // window of batches are outstanding after one pass. A stop-and-wait
+  // callback never sets in_flight, so the index stays at 0 and this is the
+  // classic front-only loop.
   size_t idx = 0;
   while (idx < batch_outbox_.size()) {
     EncodedSampleBatch& batch = batch_outbox_[idx];
-    const BatchDeliveryOutcome outcome =
-        windowed_batch_delivery_callback_
-            ? windowed_batch_delivery_callback_(batch, idx)
-            : batch_delivery_callback_(batch);
+    const BatchDeliveryOutcome outcome = windowed_batch_delivery_callback_(batch, idx);
     if (outcome.in_flight) {
       ++idx;  // sent, unsettled: nothing to account, keep the batch queued
       continue;
@@ -219,8 +188,7 @@ void Agent::FlushOutboxBatched(MicroTime now) {
     if (outcome.retry) {
       ++health_.delivery_retries;
       if (outcome.delivered + outcome.lost > 0) {
-        // Forward progress resets the backoff ladder, exactly as the
-        // per-sample path resets it on every settled sample.
+        // Forward progress resets the backoff ladder.
         outbox_attempts_ = 0;
       }
       ArmRetryBackoff(now);
@@ -232,28 +200,12 @@ void Agent::FlushOutboxBatched(MicroTime now) {
   }
 }
 
-size_t Agent::outbox_size() const {
-  // queued_samples_ is maintained at every enqueue/settle/evict, so this is
-  // O(1) — it sits in the per-sample feed loop of every caller.
-  return batch_delivery_callback_ ? queued_samples_ : outbox_.size();
-}
-
 void Agent::EnqueueSample(const CpiSample& sample) {
-  const int capacity = options_.params.sample_outbox_capacity;
-  if (!batch_delivery_callback_) {
-    if (static_cast<int>(outbox_.size()) >= capacity) {
-      outbox_.pop_front();  // bounded queue: evict oldest, keep freshest
-      ++health_.outbox_overflow_drops;
-    }
-    outbox_.push_back(sample);
-    ++health_.samples_enqueued;
-    return;
-  }
-  // Batched transport: the bound still counts *samples*, not batches. Evict
-  // the oldest unsettled sample by advancing the front batch's consumed
-  // cursor (or the open batch's, when nothing is sealed) — the receiver
-  // will simply never see it, which is the encoded twin of pop_front().
-  if (static_cast<int>(outbox_size()) >= capacity) {
+  // The bound counts *samples*, not batches. Evict the oldest unsettled
+  // sample by advancing the front batch's consumed cursor (or the open
+  // batch's, when nothing is sealed) — the receiver will simply never see
+  // it: bounded queue, evict oldest, keep freshest.
+  if (static_cast<int>(queued_samples_) >= options_.params.sample_outbox_capacity) {
     while (!batch_outbox_.empty() &&
            batch_outbox_.front().consumed >= batch_outbox_.front().sample_count) {
       batch_outbox_.pop_front();  // fully-evicted husk; shed it
@@ -280,7 +232,7 @@ void Agent::EnqueueSample(const CpiSample& sample) {
 }
 
 void Agent::OfferSample(const CpiSample& sample) {
-  if (!delivery_callback_ && !batch_delivery_callback_) {
+  if (!windowed_batch_delivery_callback_) {
     return;  // no transport installed; nothing to queue for
   }
   if (sample_callback_) {
@@ -371,7 +323,7 @@ void Agent::OnWindow(const std::string& container, const CounterDelta& delta) {
   if (sample_callback_) {
     sample_callback_(sample);
   }
-  if (delivery_callback_ || batch_delivery_callback_) {
+  if (windowed_batch_delivery_callback_) {
     EnqueueSample(sample);
   }
 
@@ -425,8 +377,8 @@ void Agent::RebuildSuspectTableIfStale() {
     row.jobname = &meta.jobname;
     row.workload_class = meta.workload_class;
     row.priority = meta.priority;
-    // A task with no series slot scores as "no data" (null usage), exactly
-    // the per-suspect path's skip rule for a missing series.
+    // A task with no series slot scores as "no data" (null usage) and is
+    // skipped by the analysis.
     row.usage = series_it != series_.end() ? &series_it->second.usage : nullptr;
     suspect_rows_.push_back(row);
   }
@@ -442,62 +394,31 @@ void Agent::HandleAnomaly(const TaskMeta& victim, const CpiSample& sample, doubl
     return;
   }
 
+  // Sync the persistent suspect table if membership moved, then score every
+  // co-resident in one batched sweep. During an anomaly storm every victim
+  // after the first reuses the table and the kernel scratch untouched — the
+  // whole storm runs without a single allocation until incidents
+  // materialize.
+  RebuildSuspectTableIfStale();
+  const auto victim_row = std::lower_bound(
+      suspect_rows_.begin(), suspect_rows_.end(), victim.task,
+      [](const AntagonistIdentifier::SuspectRow& row, const std::string& name) {
+        return *row.task < name;
+      });
+  const size_t skip_row =
+      victim_row != suspect_rows_.end() && *victim_row->task == victim.task
+          ? static_cast<size_t>(victim_row - suspect_rows_.begin())
+          : AntagonistIdentifier::kNoSkip;
+  identifier_.AnalyzeBatched(victim_series->second.cpi, threshold, suspect_rows_, skip_row,
+                             sample.timestamp, &ranked_scratch_);
+  // Materialize Suspect records only now that an incident is actually being
+  // built; the analysis itself never copied a string.
   std::vector<Suspect> ranked;
-  if (options_.params.legacy_identification_path || options_.params.legacy_correlation_path) {
-    // Reference path: rebuild a SuspectInput vector from scratch (four string
-    // copies per co-resident task) and score suspects one Analyze loop
-    // iteration at a time. legacy_correlation_path implies this shape — the
-    // AlignSeries reference is per-suspect by construction.
-    std::vector<AntagonistIdentifier::SuspectInput> inputs;
-    inputs.reserve(tasks_.size());
-    for (const auto& [task, meta] : tasks_) {
-      if (task == victim.task) {
-        continue;
-      }
-      const auto series_it = series_.find(meta.series_id);
-      if (series_it == series_.end()) {
-        continue;
-      }
-      AntagonistIdentifier::SuspectInput input;
-      input.task = task;
-      input.jobname = meta.jobname;
-      input.workload_class = meta.workload_class;
-      input.priority = meta.priority;
-      input.usage = &series_it->second.usage;
-      inputs.push_back(input);
-    }
-    ranked = identifier_.Analyze(victim_series->second.cpi, threshold, inputs, sample.timestamp);
-  } else {
-    // Batched engine: sync the persistent suspect table if membership moved,
-    // then score every co-resident in one fused sweep. During an anomaly
-    // storm every victim after the first reuses the table and the kernel
-    // scratch untouched — the whole storm runs without a single allocation
-    // until incidents materialize.
-    RebuildSuspectTableIfStale();
-    const auto victim_row = std::lower_bound(
-        suspect_rows_.begin(), suspect_rows_.end(), victim.task,
-        [](const AntagonistIdentifier::SuspectRow& row, const std::string& name) {
-          return *row.task < name;
-        });
-    const size_t skip_row =
-        victim_row != suspect_rows_.end() && *victim_row->task == victim.task
-            ? static_cast<size_t>(victim_row - suspect_rows_.begin())
-            : AntagonistIdentifier::kNoSkip;
-    identifier_.AnalyzeBatched(victim_series->second.cpi, threshold, suspect_rows_, skip_row,
-                               sample.timestamp, &ranked_scratch_);
-    // Materialize Suspect records only now that an incident is actually
-    // being built; the analysis itself never copied a string.
-    ranked.reserve(ranked_scratch_.size());
-    for (const AntagonistIdentifier::RankedRef& ref : ranked_scratch_) {
-      const AntagonistIdentifier::SuspectRow& row = suspect_rows_[ref.row];
-      Suspect suspect;
-      suspect.task = *row.task;
-      suspect.jobname = *row.jobname;
-      suspect.workload_class = row.workload_class;
-      suspect.priority = row.priority;
-      suspect.correlation = ref.correlation;
-      ranked.push_back(std::move(suspect));
-    }
+  ranked.reserve(ranked_scratch_.size());
+  for (const AntagonistIdentifier::RankedRef& ref : ranked_scratch_) {
+    const AntagonistIdentifier::SuspectRow& row = suspect_rows_[ref.row];
+    ranked.push_back(
+        {*row.task, *row.jobname, row.workload_class, row.priority, ref.correlation});
   }
 
   Incident incident;

@@ -3,10 +3,11 @@
 // One Agent runs on every machine (Figure 6). It owns the whole local loop:
 //   counters -> duty-cycled sampler -> CpiSamples -> outlier detection
 //   against pushed specs -> antagonist correlation -> enforcement.
-// Samples stream to the cluster aggregator through a callback; completed
-// analyses are reported as Incidents. The agent is backend-agnostic: give
-// it a simulated Machine or real perf_event/cgroupfs backends and it runs
-// identically. All anomaly detection is local (no central bottleneck).
+// Samples stream to the cluster aggregator as encoded batches through a
+// delivery callback; completed analyses are reported as Incidents. The agent
+// is backend-agnostic: give it a simulated Machine or real
+// perf_event/cgroupfs backends and it runs identically. All anomaly
+// detection is local (no central bottleneck).
 
 #ifndef CPI2_CORE_AGENT_H_
 #define CPI2_CORE_AGENT_H_
@@ -55,18 +56,11 @@ struct TaskMeta {
   uint32_t detector_key = 0;
 };
 
-// Outcome of one attempt to deliver a sample to the collection pipeline.
-enum class DeliveryResult {
-  kAck,          // accepted by the aggregator; done
-  kLost,         // dropped in flight (network loss); do not retry
-  kUnavailable,  // pipeline unreachable; keep the sample and retry later
-};
-
 // One sealed batch of samples on the agent→aggregator wire. The agent keeps
 // the encoded bytes, not the structs: a retry re-sends the very same bytes,
 // and `consumed` tells the receiver how many leading samples were already
-// settled (delivered or lost) by earlier attempts, so fault decisions are
-// drawn for exactly the same sample sequence as per-sample delivery.
+// settled (delivered or lost) by earlier attempts, so no sample is settled
+// twice and fault decisions are drawn once per sample.
 struct EncodedSampleBatch {
   std::string bytes;       // wire/sample_codec encoding, magic through CRC
   size_t sample_count = 0; // samples encoded in `bytes`
@@ -121,9 +115,6 @@ class Agent {
 
   using SampleCallback = std::function<void(const CpiSample&)>;
   using IncidentCallback = std::function<void(const Incident&)>;
-  // Attempts to hand one sample to the collection pipeline and reports what
-  // became of it. Invoked only from FlushOutbox (single-threaded).
-  using DeliveryCallback = std::function<DeliveryResult(const CpiSample&)>;
   // Attempts to deliver one encoded batch (starting at `consumed`). Invoked
   // only from FlushOutbox (single-threaded).
   using BatchDeliveryCallback = std::function<BatchDeliveryOutcome(const EncodedSampleBatch&)>;
@@ -178,33 +169,27 @@ class Agent {
     incident_callback_ = std::move(callback);
   }
   // Installing a delivery callback switches the agent from fire-and-forget
-  // sample reporting to the outbox path: samples queue in a bounded outbox
-  // and FlushOutbox attempts delivery with retry + exponential backoff +
-  // jitter. The plain SampleCallback (if also set) still observes every
-  // emitted sample; it is a tap, not the transport.
-  void SetDeliveryCallback(DeliveryCallback callback) {
-    delivery_callback_ = std::move(callback);
-  }
-  // The batched transport: samples are dictionary-encoded into
+  // sample reporting to the outbox: samples are dictionary-encoded into
   // EncodedSampleBatches as they are emitted, sealed by the flush policy
-  // (params.wire_batch_max_samples / wire_batch_max_age), and delivered
-  // batch-at-a-time with the same retry/backoff/jitter machinery as the
-  // per-sample path. At most one of the two delivery callbacks should be
-  // installed; the batch callback wins when both are.
-  void SetBatchDeliveryCallback(BatchDeliveryCallback callback) {
-    batch_delivery_callback_ = std::move(callback);
-  }
-  // Pipelined transport: like SetBatchDeliveryCallback, but the flush pass
-  // walks the whole outbox, skipping over batches the transport reports as
-  // in flight — up to the transport's window of batches ride the wire
-  // concurrently instead of one per ack round-trip.
+  // (params.wire_batch_max_samples / wire_batch_max_age), bounded by
+  // params.sample_outbox_capacity, and delivered batch-at-a-time by
+  // FlushOutbox with retry + exponential backoff + jitter. The plain
+  // SampleCallback (if also set) still observes every emitted sample; it is
+  // a tap, not the transport.
+  //
+  // The flush pass walks the whole outbox, skipping over batches the
+  // transport reports as in flight — up to a pipelined transport's window of
+  // batches ride the wire concurrently instead of one per ack round-trip.
   void SetWindowedBatchDeliveryCallback(WindowedBatchDeliveryCallback callback) {
     windowed_batch_delivery_callback_ = std::move(callback);
-    // Batched mode is keyed off batch_delivery_callback_ everywhere else;
-    // install a front-only adapter so mode checks keep working.
-    batch_delivery_callback_ = [this](const EncodedSampleBatch& batch) {
-      return windowed_batch_delivery_callback_(batch, 0);
-    };
+  }
+  // Stop-and-wait form of the same transport: the callback never reports a
+  // batch in flight, so each flush pass only ever settles the front batch.
+  void SetBatchDeliveryCallback(BatchDeliveryCallback callback) {
+    windowed_batch_delivery_callback_ =
+        [callback = std::move(callback)](const EncodedSampleBatch& batch, size_t) {
+          return callback(batch);
+        };
   }
 
   // Hands one externally produced sample straight to the delivery outbox,
@@ -217,14 +202,13 @@ class Agent {
   // is no transport to queue for).
   void OfferSample(const CpiSample& sample);
 
-  // Attempts to deliver queued samples in FIFO order. Stops at the first
-  // unavailable/retry result and backs off exponentially (with jitter)
-  // before the next attempt. Call from a single thread (the harness's merge
-  // phase).
+  // Attempts to deliver queued batches in FIFO order. Stops at the first
+  // retry result and backs off exponentially (with jitter) before the next
+  // attempt. Call from a single thread (the harness's merge phase).
   void FlushOutbox(MicroTime now);
-  // Samples currently queued for delivery, whichever transport is active
-  // (in batch mode: unsettled samples across sealed batches + the open one).
-  size_t outbox_size() const;
+  // Samples currently queued for delivery: unsettled samples across sealed
+  // batches plus the open one. O(1).
+  size_t outbox_size() const { return queued_samples_; }
 
   EnforcementPolicy& enforcement() { return enforcement_; }
   const AgentHealth& health() const { return health_; }
@@ -297,33 +281,27 @@ class Agent {
   // reused and deliberately NOT reset by Restart, mirroring task_ids_.
   uint32_t next_detector_key_ = 0;
 
-  // Queues `sample` for delivery on whichever transport is installed,
-  // evicting the oldest queued sample when the outbox is at capacity.
+  // Encodes `sample` into the open batch, evicting the oldest queued sample
+  // when the outbox is at capacity.
   void EnqueueSample(const CpiSample& sample);
   // Seals the open batch into batch_outbox_ if the flush policy says so
   // (always when wire_batch_max_age == 0, else once the batch is old
   // enough). `force` seals regardless of age (capacity-triggered seals).
   void MaybeSealPendingBatch(MicroTime now, bool force);
-  // Arms the retry backoff after a failed delivery attempt (shared by both
-  // transports; draws jitter exactly once).
+  // Arms the retry backoff after a failed delivery attempt (draws jitter
+  // exactly once).
   void ArmRetryBackoff(MicroTime now);
-  void FlushOutboxPerSample(MicroTime now);
-  void FlushOutboxBatched(MicroTime now);
 
   SampleCallback sample_callback_;
   IncidentCallback incident_callback_;
-  DeliveryCallback delivery_callback_;
-  BatchDeliveryCallback batch_delivery_callback_;
   WindowedBatchDeliveryCallback windowed_batch_delivery_callback_;
 
-  // Samples awaiting delivery (FIFO, bounded by sample_outbox_capacity).
-  std::deque<CpiSample> outbox_;
   MicroTime outbox_retry_at_ = 0;  // no attempts before this time
   int outbox_attempts_ = 0;        // consecutive failed attempts (backoff)
   Rng jitter_rng_;
 
-  // Batched-transport state: sealed batches awaiting delivery plus the open
-  // batch being encoded. pending_consumed_ counts open-batch samples already
+  // Outbox state: sealed batches awaiting delivery plus the open batch being
+  // encoded. pending_consumed_ counts open-batch samples already
   // evicted by capacity pressure (the seal carries it into the batch).
   std::deque<EncodedSampleBatch> batch_outbox_;
   SampleBatchEncoder batch_encoder_;

@@ -321,59 +321,38 @@ std::vector<CpiSpec> Aggregator::ForceBuild(MicroTime now) {
   return specs;
 }
 
-void Aggregator::WriteCheckpointText(const CheckpointSink& sink) const {
+std::string Aggregator::CheckpointText() const {
   // Line-oriented records: M = metadata, W = dedup watermark, D = one dedup
   // window entry, H = one history entry, S = one latest spec. %.17g
-  // round-trips doubles exactly, which the restore-equals-crashed-state
-  // guarantee depends on.
-  std::string buffer = std::string(kCheckpointHeaderV2) + "\n";
-  buffer += StrFormat("M\t%lld\t%lld\t%lld\n", static_cast<long long>(last_build_),
-                      static_cast<long long>(builds_completed_),
-                      static_cast<long long>(builder_.samples_seen()));
-  buffer += StrFormat("W\t%lld\n", static_cast<long long>(dedup_watermark_));
+  // round-trips doubles exactly, so restoring this text yields the state
+  // the binary checkpoint restores. Rendered fresh every call: the shard
+  // blob cache holds binary records only.
+  std::string out = std::string(kCheckpointHeaderV2) + "\n";
+  out += StrFormat("M\t%lld\t%lld\t%lld\n", static_cast<long long>(last_build_),
+                   static_cast<long long>(builds_completed_),
+                   static_cast<long long>(builder_.samples_seen()));
+  out += StrFormat("W\t%lld\n", static_cast<long long>(dedup_watermark_));
   for (const DedupWindow::Entry& key : recent_samples_.SortedEntries()) {
-    buffer += StrFormat("D\t%lld\t%s\t%s\n", static_cast<long long>(key.timestamp),
-                        dedup_ids_.NameOf(key.machine).c_str(),
-                        dedup_ids_.NameOf(key.task).c_str());
-    if (buffer.size() >= kSinkChunkBytes) {
-      sink(buffer);
-      buffer.clear();
+    out += StrFormat("D\t%lld\t%s\t%s\n", static_cast<long long>(key.timestamp),
+                     dedup_ids_.NameOf(key.machine).c_str(),
+                     dedup_ids_.NameOf(key.task).c_str());
+  }
+  for (size_t shard = 0; shard < builder_.shard_count(); ++shard) {
+    for (const SpecBuilder::HistoryEntry& entry : builder_.SnapshotShardHistory(shard)) {
+      out += StrFormat("H\t%s\t%s\t%.17g\t%.17g\t%.17g\t%.17g\n", entry.key.jobname.c_str(),
+                       entry.key.platforminfo.c_str(), entry.count, entry.mean, entry.m2,
+                       entry.usage_mean);
+    }
+    for (const CpiSpec& spec : builder_.SnapshotShardLatestSpecs(shard)) {
+      out += StrFormat("S\t%s\t%s\t%lld\t%.17g\t%.17g\t%.17g\n", spec.jobname.c_str(),
+                       spec.platforminfo.c_str(), static_cast<long long>(spec.num_samples),
+                       spec.cpu_usage_mean, spec.cpi_mean, spec.cpi_stddev);
     }
   }
-  if (!buffer.empty()) {
-    sink(buffer);
-  }
-
-  // Spec state, shard by shard. A shard whose durable state hasn't changed
-  // since the last checkpoint replays its cached serialization, so
-  // steady-state checkpoints between builds don't re-render every job.
-  const size_t shards = builder_.shard_count();
-  shard_blob_cache_.resize(shards);
-  shard_blob_version_.resize(shards, 0);
-  for (size_t shard = 0; shard < shards; ++shard) {
-    const uint64_t version = builder_.shard_version(shard);
-    if (shard_blob_version_[shard] != version) {
-      std::string& blob = shard_blob_cache_[shard];
-      blob.clear();
-      for (const SpecBuilder::HistoryEntry& entry : builder_.SnapshotShardHistory(shard)) {
-        blob += StrFormat("H\t%s\t%s\t%.17g\t%.17g\t%.17g\t%.17g\n",
-                          entry.key.jobname.c_str(), entry.key.platforminfo.c_str(),
-                          entry.count, entry.mean, entry.m2, entry.usage_mean);
-      }
-      for (const CpiSpec& spec : builder_.SnapshotShardLatestSpecs(shard)) {
-        blob += StrFormat("S\t%s\t%s\t%lld\t%.17g\t%.17g\t%.17g\n", spec.jobname.c_str(),
-                          spec.platforminfo.c_str(), static_cast<long long>(spec.num_samples),
-                          spec.cpu_usage_mean, spec.cpi_mean, spec.cpi_stddev);
-      }
-      shard_blob_version_[shard] = version;
-    }
-    if (!shard_blob_cache_[shard].empty()) {
-      sink(shard_blob_cache_[shard]);
-    }
-  }
+  return out;
 }
 
-void Aggregator::WriteCheckpointBinary(const CheckpointSink& sink) const {
+void Aggregator::WriteCheckpoint(const CheckpointSink& sink) const {
   std::string buffer;
   AppendWireMagic(&buffer, kCheckpointMagicV3);
   std::string payload;
@@ -439,8 +418,10 @@ void Aggregator::WriteCheckpointBinary(const CheckpointSink& sink) const {
     buffer.clear();
   }
 
-  // Spec state, shard by shard, with the same version-keyed blob cache as
-  // the text writer: one framed H record and one framed S record per shard.
+  // Spec state, shard by shard: one framed H record and one framed S record
+  // per shard. A shard whose durable state hasn't changed since the last
+  // checkpoint replays its cached records, so steady-state checkpoints
+  // between builds don't re-render every job.
   const size_t shards = builder_.shard_count();
   shard_blob_cache_.resize(shards);
   shard_blob_version_.resize(shards, 0);
@@ -487,14 +468,6 @@ void Aggregator::WriteCheckpointBinary(const CheckpointSink& sink) const {
     if (!shard_blob_cache_[shard].empty()) {
       sink(shard_blob_cache_[shard]);
     }
-  }
-}
-
-void Aggregator::WriteCheckpoint(const CheckpointSink& sink) const {
-  if (params_.legacy_wire_path) {
-    WriteCheckpointText(sink);
-  } else {
-    WriteCheckpointBinary(sink);
   }
 }
 

@@ -14,9 +14,10 @@
 //
 // Degraded-mode hardening:
 //  - Checkpoint/restore: the spec state (age-weighted history, latest
-//    specs, build clock) and the dedup state serialize to a versioned TSV
-//    blob (v2; v1 blobs still load), so a restarted aggregator resumes from
-//    its last checkpoint instead of forgetting a day of history. Samples
+//    specs, build clock) and the dedup state serialize to a framed binary
+//    blob (v3; text v1/v2 blobs still load), so a restarted aggregator
+//    resumes from its last checkpoint instead of forgetting a day of
+//    history. Samples
 //    accumulated since the checkpoint are lost — the loss is bounded by the
 //    checkpoint interval. The writer streams shard by shard and reuses each
 //    shard's cached serialization until its state changes, so steady-state
@@ -86,13 +87,15 @@ class Aggregator {
   // one chunk per builder shard, each reused from a cached serialization
   // when that shard hasn't changed since the last checkpoint. The
   // in-progress accumulation window is intentionally excluded; see the
-  // header comment. Emits the framed binary v3 encoding by default, or the
-  // text v2 encoding when params.legacy_wire_path is set; Restore
-  // auto-detects either (plus text v1), and restoring the two encodings of
-  // one state produces bit-identical aggregators.
+  // header comment. Emits the framed binary v3 encoding; Restore also
+  // accepts the text v1/v2 encodings.
   void WriteCheckpoint(const CheckpointSink& sink) const;
   // Convenience wrapper materializing the streamed checkpoint as one blob.
   std::string Checkpoint() const;
+  // The same state as a human-readable text v2 checkpoint (what wiredump
+  // prints). Restoring it yields an aggregator bit-identical to restoring
+  // Checkpoint().
+  std::string CheckpointText() const;
   // Replaces this aggregator's state with a previously checkpointed blob.
   // Fails (leaving the current state untouched) on a malformed blob: every
   // numeric field is parsed strictly, so a corrupted checkpoint surfaces as
@@ -105,9 +108,6 @@ class Aggregator {
   Status LoadCheckpoint(const std::string& path);
 
  private:
-  void WriteCheckpointText(const CheckpointSink& sink) const;
-  void WriteCheckpointBinary(const CheckpointSink& sink) const;
-
   Cpi2Params params_;
   SpecBuilder builder_;
   SpecCallback callback_;

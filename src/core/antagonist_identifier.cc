@@ -24,62 +24,6 @@ uint64_t DescendingDoubleKey(double value) {
 
 }  // namespace
 
-std::vector<Suspect> AntagonistIdentifier::Analyze(const TimeSeries& victim_cpi,
-                                                   double cpi_threshold,
-                                                   const std::vector<SuspectInput>& suspects,
-                                                   MicroTime now) {
-  last_analysis_ = now;
-  ++analyses_run_;
-
-  const MicroTime begin = now - params_.correlation_window;
-  const MicroTime tolerance = params_.sample_period / 2;
-
-  std::vector<Suspect> scored;
-  scored.reserve(suspects.size());
-  for (const SuspectInput& input : suspects) {
-    if (input.usage == nullptr) {
-      continue;
-    }
-    double correlation = 0.0;
-    if (params_.legacy_correlation_path) {
-      // Reference path: materialize the aligned pairs, then score them.
-      // O(|victim| log |suspect|) plus a vector allocation per suspect.
-      const std::vector<AlignedPair> pairs =
-          AlignSeries(victim_cpi, *input.usage, begin, now + 1, tolerance);
-      if (pairs.empty()) {
-        continue;
-      }
-      correlation = AntagonistCorrelation(pairs, cpi_threshold);
-    } else {
-      // Fast path: merge-join alignment fused with the correlation sum.
-      // O(|victim| + |suspect|) per suspect and no heap work at all —
-      // bit-identical to the reference path (correlation_equivalence_test).
-      size_t aligned = 0;
-      correlation = FusedAntagonistCorrelation(victim_cpi, *input.usage, begin, now + 1,
-                                               tolerance, cpi_threshold, &aligned);
-      if (aligned == 0) {
-        continue;
-      }
-    }
-    Suspect suspect;
-    suspect.task = input.task;
-    suspect.jobname = input.jobname;
-    suspect.workload_class = input.workload_class;
-    suspect.priority = input.priority;
-    suspect.correlation = correlation;
-    scored.push_back(std::move(suspect));
-  }
-  // Highest correlation first; equal correlations order by task id so the
-  // ranking (and therefore who gets capped) never depends on input order.
-  std::sort(scored.begin(), scored.end(), [](const Suspect& a, const Suspect& b) {
-    if (a.correlation != b.correlation) {
-      return a.correlation > b.correlation;
-    }
-    return a.task < b.task;
-  });
-  return scored;
-}
-
 void AntagonistIdentifier::AnalyzeBatched(const TimeSeries& victim_cpi, double cpi_threshold,
                                           const std::vector<SuspectRow>& rows, size_t skip_row,
                                           MicroTime now, std::vector<RankedRef>* ranked) {
@@ -97,7 +41,7 @@ void AntagonistIdentifier::AnalyzeBatched(const TimeSeries& victim_cpi, double c
   BatchedAntagonistCorrelation(victim_cpi, batch_usages_.data(), n, begin, now + 1, tolerance,
                                cpi_threshold, &batch_scratch_);
 
-  // Analyze's ordering: correlation descending, ties by ascending task id.
+  // The ranking order: correlation descending, ties by ascending task id.
   // Rows are name-sorted, so comparing row indices IS comparing task ids —
   // the sort never touches a string. And instead of a two-field comparator,
   // each scoring suspect gets ONE branchless 96-bit key: sign-flipped
@@ -106,11 +50,11 @@ void AntagonistIdentifier::AnalyzeBatched(const TimeSeries& victim_cpi, double c
   // double order can only disagree on -0.0 vs +0.0, and the correlation
   // fold can never produce -0.0: its accumulator starts at +0.0, IEEE
   // addition of -0.0 to +0.0 yields +0.0, and exact cancellation rounds to
-  // +0.0 — so key order IS Analyze's order.
+  // +0.0 — so key order IS the (correlation, task id) order.
   rank_keys_.clear();
   for (size_t i = 0; i < n; ++i) {
     if (batch_usages_[i] == nullptr || batch_scratch_.aligned_pairs(i) == 0) {
-      continue;  // Analyze's skip rules: no series, or no overlapping data.
+      continue;  // skip rules: no series, or no overlapping data
     }
     rank_keys_.push_back(
         (static_cast<unsigned __int128>(DescendingDoubleKey(batch_scratch_.correlation(i)))

@@ -15,8 +15,8 @@
 #include <vector>
 
 #include "core/correlation.h"
-#include "core/incident.h"
 #include "core/params.h"
+#include "core/types.h"
 #include "util/time_series.h"
 
 namespace cpi2 {
@@ -25,21 +25,12 @@ class AntagonistIdentifier {
  public:
   explicit AntagonistIdentifier(const Cpi2Params& params) : params_(params) {}
 
-  struct SuspectInput {
-    std::string task;
-    std::string jobname;
-    WorkloadClass workload_class = WorkloadClass::kBatch;
-    JobPriority priority = JobPriority::kNonProduction;
-    // Suspect's CPU-usage samples (CPU-sec/sec, once a minute).
-    const TimeSeries* usage = nullptr;
-  };
-
-  // One row of a persistent suspect table (DESIGN.md §17): the interned twin
-  // of SuspectInput. Names are pointers into the owner's stable storage (the
-  // agent's task-registry nodes), the series pointer is cached once at
-  // registration — building an analysis input costs zero string copies and
-  // zero allocations. Rows must be kept sorted by ascending *task; the
-  // ranked output's tie-break leans on that.
+  // One row of a persistent suspect table (DESIGN.md §17). Names are
+  // pointers into the owner's stable storage (the agent's task-registry
+  // nodes), the series pointer is cached once at registration — building an
+  // analysis input costs zero string copies and zero allocations. Rows must
+  // be kept sorted by ascending *task; the ranked output's tie-break leans on
+  // that.
   struct SuspectRow {
     const std::string* task = nullptr;
     const std::string* jobname = nullptr;
@@ -61,27 +52,18 @@ class AntagonistIdentifier {
     return last_analysis_ < 0 || now - last_analysis_ >= params_.analysis_interval;
   }
 
-  // Correlates every suspect against the victim's CPI over
-  // [now - correlation_window, now]. Returns ALL suspects with at least one
-  // aligned sample, ranked by correlation (highest first, ties broken by
-  // ascending task id so the ranking is input-order independent); the caller
-  // applies the naming threshold. Records the analysis for rate-limiting.
-  //
-  // Cost: O(|victim| + |suspect|) per suspect via the fused merge-join
-  // correlation, with no per-suspect heap work beyond the returned records;
-  // params.legacy_correlation_path selects the bit-identical reference path.
-  std::vector<Suspect> Analyze(const TimeSeries& victim_cpi, double cpi_threshold,
-                               const std::vector<SuspectInput>& suspects, MicroTime now);
-
-  // The batched engine: scores every row of `rows` except `skip_row`
-  // (pass kNoSkip to score all) against the victim in ONE victim-major sweep
-  // (BatchedAntagonistCorrelation), ranking the results into *ranked —
-  // capacity reused, entries ordered exactly as Analyze orders its Suspects
-  // (correlation descending, ties by ascending task id; since rows are
-  // name-sorted the tie-break is an integer compare). Suspects with no
-  // aligned samples or a null series are skipped, as in Analyze. Records the
-  // analysis for rate-limiting. An anomaly storm calls this once per victim
-  // against the same rows and scratch: zero allocations at steady state.
+  // Correlates every row of `rows` except `skip_row` (pass kNoSkip to score
+  // all) against the victim's CPI over [now - correlation_window, now] in ONE
+  // victim-major sweep (BatchedAntagonistCorrelation), ranking the results
+  // into *ranked — capacity reused, correlation descending, ties by
+  // ascending task id (rows are name-sorted, so the tie-break is an integer
+  // compare and the ranking is input-order independent). Suspects with no
+  // aligned samples or a null series are skipped; the caller applies the
+  // naming threshold. Records the analysis for rate-limiting. An anomaly
+  // storm calls this once per victim against the same rows and scratch:
+  // zero allocations at steady state. The per-suspect reference ranking
+  // (tests/testing/reference_correlation.h ReferenceAnalyze) returns the
+  // same suspects with bit-identical correlations.
   static constexpr size_t kNoSkip = static_cast<size_t>(-1);
   void AnalyzeBatched(const TimeSeries& victim_cpi, double cpi_threshold,
                       const std::vector<SuspectRow>& rows, size_t skip_row, MicroTime now,

@@ -2,85 +2,6 @@
 
 namespace cpi2 {
 
-double AntagonistCorrelation(const std::vector<AlignedPair>& pairs, double cpi_threshold) {
-  if (pairs.empty() || cpi_threshold <= 0.0) {
-    return 0.0;
-  }
-  double usage_total = 0.0;
-  for (const AlignedPair& pair : pairs) {
-    usage_total += pair.b;
-  }
-  if (usage_total <= 0.0) {
-    return 0.0;
-  }
-  double correlation = 0.0;
-  for (const AlignedPair& pair : pairs) {
-    const double cpi = pair.a;
-    const double usage = pair.b / usage_total;  // sum of normalized usage is 1
-    if (cpi > cpi_threshold) {
-      correlation += usage * (1.0 - cpi_threshold / cpi);
-    } else if (cpi < cpi_threshold && cpi > 0.0) {
-      correlation += usage * (cpi / cpi_threshold - 1.0);
-    }
-  }
-  return correlation;
-}
-
-double FusedAntagonistCorrelation(const TimeSeries& victim_cpi, const TimeSeries& usage,
-                                  MicroTime begin, MicroTime end, MicroTime tolerance,
-                                  double cpi_threshold, size_t* aligned_pairs) {
-  *aligned_pairs = 0;
-  const size_t a_begin = victim_cpi.LowerBound(begin);
-  const size_t a_end = victim_cpi.LowerBound(end);
-  if (a_begin >= a_end || usage.empty()) {
-    return 0.0;
-  }
-
-  // Pass 1: count the aligned pairs and total their usage. Bit-identity with
-  // the legacy path requires the same normalizer accumulated in the same
-  // order, and the pair count decides the caller's skip-this-suspect rule.
-  size_t pairs = 0;
-  double usage_total = 0.0;
-  {
-    NearestCursor cursor(usage);
-    size_t j = 0;
-    for (size_t i = a_begin; i < a_end; ++i) {
-      const MicroTime timestamp = victim_cpi[i].timestamp;
-      if (cursor.Seek(timestamp, tolerance, &j)) {
-        usage_total += usage[j].value;
-        ++pairs;
-      }
-    }
-  }
-  if (pairs == 0) {
-    return 0.0;
-  }
-  *aligned_pairs = pairs;
-  if (cpi_threshold <= 0.0 || usage_total <= 0.0) {
-    return 0.0;
-  }
-
-  // Pass 2: the correlation sum — the same per-pair expressions, values and
-  // order as AntagonistCorrelation, so the result is bit-identical.
-  double correlation = 0.0;
-  NearestCursor cursor(usage);
-  size_t j = 0;
-  for (size_t i = a_begin; i < a_end; ++i) {
-    const TimePoint& victim_point = victim_cpi[i];
-    if (!cursor.Seek(victim_point.timestamp, tolerance, &j)) {
-      continue;
-    }
-    const double cpi = victim_point.value;
-    const double normalized = usage[j].value / usage_total;
-    if (cpi > cpi_threshold) {
-      correlation += normalized * (1.0 - cpi_threshold / cpi);
-    } else if (cpi < cpi_threshold && cpi > 0.0) {
-      correlation += normalized * (cpi / cpi_threshold - 1.0);
-    }
-  }
-  return correlation;
-}
-
 void BatchedAntagonistCorrelation(const TimeSeries& victim_cpi,
                                   const TimeSeries* const* usages, size_t n, MicroTime begin,
                                   MicroTime end, MicroTime tolerance, double cpi_threshold,
@@ -109,9 +30,10 @@ void BatchedAntagonistCorrelation(const TimeSeries& victim_cpi,
   // window lookup, the victim's ring indexing, the threshold branches and
   // the thr/c division are all paid once for the whole batch; every
   // suspect's fold below is a branchless multiply-accumulate against these
-  // factors. The factor expressions see the exact operands the fused path's
-  // per-pair expressions see, so every product is bit-identical; folding a
-  // zero factor adds ±0.0 where the fused path skips the pair, which cannot
+  // factors. The factor expressions see the exact operands the per-pair
+  // expressions of the fused reference path (tests/testing/
+  // reference_correlation.h) see, so every product is bit-identical; folding
+  // a zero factor adds ±0.0 where the fused path skips the pair, which cannot
   // change the accumulator — it starts at +0.0 and IEEE round-to-nearest
   // addition never produces -0.0 from a non-(-0.0) left operand. A storm
   // re-scoring the same suspects victim after victim pays this snapshot per

@@ -12,30 +12,20 @@
 // it up; usage during healthy victim periods pushes it down. This is a
 // deliberately simple passive score: no throttle-probing of innocents.
 //
-// Three implementations of the same score:
-//  - AntagonistCorrelation over a pre-aligned pair vector: the legacy
-//    reference path (pairs come from AlignSeries, which allocates and costs
-//    O(|a| log |b|)).
-//  - FusedAntagonistCorrelation over the two raw series: merge-join
-//    alignment fused with the correlation sum, O(|a|+|b|) and zero
-//    allocations. Visits the identical pairs in the identical order with
-//    identical arithmetic, so the two paths are bit-identical
-//    (correlation_equivalence_test proves it on random series).
-//  - BatchedAntagonistCorrelation over one victim and MANY suspect series:
-//    ONE pass over the victim series snapshots the correlation window into
-//    dense scratch columns — timestamps plus each point's precomputed score
-//    factor — then a per-suspect monotone cursor (SoA count and accumulator
-//    columns) sweeps each suspect's ring a single time, recording the
-//    aligned (factor, usage) pairs; the fold is a branchless
-//    multiply-accumulate whose every product is the product the fused
-//    path's per-pair expression computes, so every score is bit-identical
-//    to a FusedAntagonistCorrelation call on that suspect
-//    (correlation_equivalence_test again). The kernel pays the alignment
-//    seek work once per suspect instead of twice, the victim window lookup,
-//    ring indexing, threshold branches and victim-side division once per
-//    BATCH instead of twice per suspect, and folds out of L1-resident
-//    scratch — this is the identification engine's anomaly-storm kernel
-//    (DESIGN.md §17).
+// BatchedAntagonistCorrelation scores one victim against MANY suspect
+// series: ONE pass over the victim series snapshots the correlation window
+// into dense scratch columns — timestamps plus each point's precomputed
+// score factor — then a per-suspect monotone cursor sweeps each suspect's
+// ring a single time, recording the aligned (factor, usage) pairs; the fold
+// is a branchless multiply-accumulate. The victim window lookup, ring
+// indexing, threshold branches and victim-side division are paid once per
+// BATCH, and the fold runs out of L1-resident scratch — this is the
+// identification engine's anomaly-storm kernel (DESIGN.md §17).
+//
+// The per-suspect reference implementations of the same score (AlignSeries
+// + AntagonistCorrelation, and the fused merge-join) live in
+// tests/testing/reference_correlation.h; correlation_equivalence_test holds
+// every batched score bit-identical to them.
 
 #ifndef CPI2_CORE_CORRELATION_H_
 #define CPI2_CORE_CORRELATION_H_
@@ -46,20 +36,6 @@
 #include "util/time_series.h"
 
 namespace cpi2 {
-
-// `pairs` holds (victim CPI, suspect CPU usage) sample pairs: pair.a is the
-// victim's CPI, pair.b the suspect's usage. Usage is normalized internally.
-// Returns 0 for an empty window or an all-idle suspect.
-double AntagonistCorrelation(const std::vector<AlignedPair>& pairs, double cpi_threshold);
-
-// Fast path: aligns victim CPI points in [begin, end) against the nearest
-// usage point within `tolerance` (merge-join, two monotone cursors) and
-// computes the correlation in the same sweep. `*aligned_pairs` reports how
-// many points paired up — zero means the suspect had no overlapping data and
-// the caller should skip it, exactly as an empty AlignSeries result would.
-double FusedAntagonistCorrelation(const TimeSeries& victim_cpi, const TimeSeries& usage,
-                                  MicroTime begin, MicroTime end, MicroTime tolerance,
-                                  double cpi_threshold, size_t* aligned_pairs);
 
 // Reusable SoA scratch for BatchedAntagonistCorrelation. The per-suspect
 // columns (cursor, count, accumulator, score) are indexed by suspect; the
@@ -90,13 +66,11 @@ class BatchedCorrelationScratch {
 // snapshots the window, then each suspect gets a single-seek sweep + fold.
 // usages[s] == nullptr (or an empty/non-overlapping series) yields
 // aligned_pairs(s) == 0 — the caller's skip-this-suspect rule, exactly as a
-// FusedAntagonistCorrelation call returning *aligned_pairs == 0 would.
-// Every returned correlation(s) is bit-identical to
-// FusedAntagonistCorrelation(victim_cpi, *usages[s], ...): each sweep visits
-// victim points in the same order, the per-suspect cursors pick the exact
-// indices the fused path's SeekNearestAdvance picks (CachedNearestCursor is
-// decision-equivalent), and the fold replays the recorded pairs with the
-// same expressions in the same order.
+// per-suspect reference path returning zero aligned pairs would. Every
+// returned correlation(s) is bit-identical to the reference score of that
+// suspect: each sweep visits victim points in the same order, the cursor
+// picks the nearest point the reference alignment picks, and the fold
+// replays the recorded pairs with the same expressions in the same order.
 void BatchedAntagonistCorrelation(const TimeSeries& victim_cpi,
                                   const TimeSeries* const* usages, size_t n, MicroTime begin,
                                   MicroTime end, MicroTime tolerance, double cpi_threshold,

@@ -23,10 +23,10 @@
 //
 // The index answers with row ids in ascending (log) order — the exact
 // order the reference scan visits rows — so results built from it are
-// identical to the legacy path, including downstream floating-point
+// identical to the reference scan, including downstream floating-point
 // accumulation order and sort tie-breaks. forensics_equivalence_test holds
-// that claim; params.legacy_forensics_path routes queries through the
-// reference scan to keep it checkable in CI.
+// that claim against IncidentLog's kept reference scans (SelectLegacy,
+// TopAntagonistsLegacy).
 
 #ifndef CPI2_CORE_INCIDENT_COLUMNAR_H_
 #define CPI2_CORE_INCIDENT_COLUMNAR_H_

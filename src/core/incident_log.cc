@@ -7,9 +7,6 @@
 namespace cpi2 {
 
 std::vector<const Incident*> IncidentLog::Select(const Query& query) const {
-  if (legacy_scan_path_) {
-    return SelectLegacy(query);
-  }
   std::vector<const Incident*> out;
   std::vector<size_t> rows = index_.Select(query);
   out.reserve(rows.size());
@@ -63,9 +60,6 @@ std::vector<IncidentLog::AntagonistStats> IncidentLog::Rank(std::vector<Antagoni
 
 std::vector<IncidentLog::AntagonistStats> IncidentLog::TopAntagonists(
     const std::string& victim_job, MicroTime begin, MicroTime end, int k) const {
-  if (legacy_scan_path_) {
-    return TopAntagonistsLegacy(victim_job, begin, end, k);
-  }
   Query query;
   query.victim_job = victim_job;
   query.begin = begin;

@@ -10,10 +10,10 @@
 // Storage: incidents append to a deque, so pointers handed out by Select
 // stay valid across later appends (a vector would invalidate them on
 // reallocation). Queries run through the columnar ForensicsIndex in
-// O(log n + matches); construct with legacy_scan_path = true (or set
-// params.legacy_forensics_path) to route them through the reference O(n)
-// scan instead. The two paths return identical results — same rows, same
-// order, same tie-breaks — proven by forensics_equivalence_test.
+// O(log n + matches). The reference O(n) scans (SelectLegacy,
+// TopAntagonistsLegacy) stay callable as oracles: they return identical
+// results — same rows, same order, same tie-breaks — which
+// forensics_equivalence_test and the harness determinism suite check.
 
 #ifndef CPI2_CORE_INCIDENT_LOG_H_
 #define CPI2_CORE_INCIDENT_LOG_H_
@@ -29,9 +29,6 @@ namespace cpi2 {
 
 class IncidentLog {
  public:
-  explicit IncidentLog(bool legacy_scan_path = false)
-      : legacy_scan_path_(legacy_scan_path) {}
-
   void Add(const Incident& incident) {
     incidents_.push_back(incident);
     index_.Add(incident);
@@ -60,8 +57,8 @@ class IncidentLog {
   std::vector<AntagonistStats> TopAntagonists(const std::string& victim_job, MicroTime begin,
                                               MicroTime end, int k) const;
 
-  // Reference full-scan implementations, kept callable so the equivalence
-  // test and bench_forensics_query can compare both paths on one log.
+  // Reference full-scan implementations: oracles for the columnar index,
+  // kept callable so tests and benches can compare both on one log.
   std::vector<const Incident*> SelectLegacy(const Query& query) const;
   std::vector<AntagonistStats> TopAntagonistsLegacy(const std::string& victim_job,
                                                     MicroTime begin, MicroTime end, int k) const;
@@ -72,7 +69,6 @@ class IncidentLog {
   // jobname), so unstable-sort tie-breaks agree.
   static std::vector<AntagonistStats> Rank(std::vector<AntagonistStats> ranked, int k);
 
-  bool legacy_scan_path_ = false;
   std::deque<Incident> incidents_;
   ForensicsIndex index_;
 };

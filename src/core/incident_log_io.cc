@@ -11,27 +11,10 @@
 namespace cpi2 {
 namespace {
 
+// v1 text archives: this header line, then one TSV row per incident with
+// the suspects flattened into a ';'-separated column of ','-separated
+// fields. Read-only: archives are written in the binary format.
 constexpr char kHeader[] = "cpi2-incidents-v1";
-
-// Text-format field separators: '\t' between columns, ';' between suspects,
-// ',' inside one suspect. Rather than escaping, names containing any
-// separator are rejected at save time (task/job names never contain them in
-// practice). The binary format has no separators and accepts any name.
-bool SafeName(const std::string& name) {
-  return name.find_first_of("\t\n;,") == std::string::npos;
-}
-
-std::string EncodeSuspects(const std::vector<Suspect>& suspects) {
-  std::vector<std::string> parts;
-  parts.reserve(suspects.size());
-  for (const Suspect& suspect : suspects) {
-    parts.push_back(StrFormat("%s,%s,%d,%d,%.9g", suspect.task.c_str(),
-                              suspect.jobname.c_str(),
-                              static_cast<int>(suspect.workload_class),
-                              static_cast<int>(suspect.priority), suspect.correlation));
-  }
-  return Join(parts, ";");
-}
 
 StatusOr<std::vector<Suspect>> DecodeSuspects(const std::string& text) {
   std::vector<Suspect> suspects;
@@ -59,41 +42,6 @@ StatusOr<std::vector<Suspect>> DecodeSuspects(const std::string& text) {
     suspects.push_back(std::move(suspect));
   }
   return suspects;
-}
-
-Status EncodeIncidentsText(const IncidentLog& log, std::string* out) {
-  for (const Incident& incident : log.incidents()) {
-    if (!SafeName(incident.victim_task) || !SafeName(incident.victim_job) ||
-        !SafeName(incident.machine) || !SafeName(incident.action_target)) {
-      return InvalidArgumentError("incident names must not contain separators");
-    }
-    for (const Suspect& suspect : incident.suspects) {
-      if (!SafeName(suspect.task) || !SafeName(suspect.jobname)) {
-        return InvalidArgumentError("suspect names must not contain separators");
-      }
-    }
-  }
-  out->clear();
-  out->append(kHeader);
-  out->push_back('\n');
-  for (const Incident& incident : log.incidents()) {
-    std::string note = incident.note;
-    for (char& c : note) {
-      if (c == '\t' || c == '\n') {
-        c = ' ';
-      }
-    }
-    *out += StrFormat(
-        "%lld\t%s\t%s\t%s\t%s\t%d\t%.9g\t%.9g\t%.9g\t%.9g\t%d\t%s\t%.9g\t%s\t%s\n",
-        static_cast<long long>(incident.timestamp), incident.machine.c_str(),
-        incident.victim_task.c_str(), incident.victim_job.c_str(),
-        incident.platforminfo.c_str(), static_cast<int>(incident.victim_class),
-        incident.victim_cpi, incident.cpi_threshold, incident.spec_mean,
-        incident.spec_stddev, static_cast<int>(incident.action),
-        incident.action_target.c_str(), incident.cap_level, note.c_str(),
-        EncodeSuspects(incident.suspects).c_str());
-  }
-  return Status::Ok();
 }
 
 StatusOr<IncidentLog> LoadIncidentsText(const std::string& path, const std::string& contents,
@@ -186,17 +134,9 @@ StatusOr<IncidentLog> LoadIncidentsBinary(const std::string& path, const std::st
 
 }  // namespace
 
-Status SaveIncidents(const std::string& path, const IncidentLog& log,
-                     IncidentFileFormat format) {
+Status SaveIncidents(const std::string& path, const IncidentLog& log) {
   std::string contents;
-  if (format == IncidentFileFormat::kText) {
-    const Status encoded = EncodeIncidentsText(log, &contents);
-    if (!encoded.ok()) {
-      return encoded;
-    }
-  } else {
-    EncodeIncidentFile(log.incidents(), &contents);
-  }
+  EncodeIncidentFile(log.incidents(), &contents);
   return AtomicWriteFile(path, contents);
 }
 

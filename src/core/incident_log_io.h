@@ -3,14 +3,15 @@
 // "To allow offline analysis, we log and store data about CPIs and
 // suspected antagonists. Job owners and administrators can issue SQL-like
 // queries against this data" (section 5). This module gives the incident
-// log a durable form in two interchangeable encodings:
+// log a durable form:
 //
-//   - v2 binary (default): the framed format in wire/incident_codec.h —
-//     one file-level name dictionary, CRC-guarded records, doubles as raw
-//     bits. 3-4x smaller than the TSV and immune to in-band separators.
+//   - v2 binary: the framed format in wire/incident_codec.h — one
+//     file-level name dictionary, CRC-guarded records, doubles as raw bits.
+//     3-4x smaller than the TSV and immune to in-band separators. Every
+//     save writes it.
 //   - v1 text: the original versioned TSV, one row per incident, suspects
-//     flattened into a ';'-separated column. Still written when the
-//     deployment runs with params.legacy_wire_path, and loadable forever.
+//     flattened into a ';'-separated column. No longer written, and
+//     loadable forever.
 //
 // LoadIncidents auto-detects the encoding, so archives written by any
 // version of this code keep loading.
@@ -26,19 +27,10 @@
 
 namespace cpi2 {
 
-// On-disk encoding for SaveIncidents. Deployments pick via
-// params.legacy_wire_path (true -> kText); loading auto-detects.
-enum class IncidentFileFormat {
-  kBinary,  // framed binary v2 (wire/incident_codec.h)
-  kText,    // TSV v1
-};
-
-// Writes every incident in `log` to `path`, crash-atomically (tmp + fsync +
-// rename): a kill mid-save leaves any previous archive untouched. The text
-// encoding rejects names containing its in-band separators; the binary
-// encoding has no such restriction.
-Status SaveIncidents(const std::string& path, const IncidentLog& log,
-                     IncidentFileFormat format = IncidentFileFormat::kBinary);
+// Writes every incident in `log` to `path` in the binary encoding,
+// crash-atomically (tmp + fsync + rename): a kill mid-save leaves any
+// previous archive untouched.
+Status SaveIncidents(const std::string& path, const IncidentLog& log);
 
 // What a load skipped, and exactly where. Each entry names the torn or
 // corrupted unit — "<path>:<line>: <reason>" for text archives,

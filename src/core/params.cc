@@ -39,7 +39,6 @@ std::string Cpi2Params::ToTable() const {
   row("Hard-capping quota", StrFormat("%.2f CPU-sec/sec", cap_other));
   row("Hard-capping quota (best effort)", StrFormat("%.2f CPU-sec/sec", cap_best_effort));
   row("Hard-capping duration", FormatDuration(cap_duration));
-  row("Sample transport", legacy_wire_path ? "per-sample (text formats)" : "binary batches");
   row("Wire batch max samples", StrFormat("%d", wire_batch_max_samples));
   row("Wire batch max age",
       wire_batch_max_age == 0 ? "flush every tick" : FormatDuration(wire_batch_max_age));

@@ -47,25 +47,6 @@ struct Cpi2Params {
   double correlation_threshold = 0.35;
   // "at most one of these attempts is performed each second".
   MicroTime analysis_interval = kMicrosPerSecond;
-  // Validation escape hatch: route antagonist analyses through the legacy
-  // AlignSeries + AntagonistCorrelation pair (O(|victim| log |suspect|), one
-  // allocation per suspect) instead of the fused merge-join fast path. The
-  // two are bit-identical — correlation_equivalence_test and
-  // ParallelDeterminismTest.LegacyCorrelationPathMatchesFastPath hold the
-  // proof — so this exists only to keep that claim checkable in CI.
-  bool legacy_correlation_path = false;
-  // Validation escape hatch, one layer above legacy_correlation_path: route
-  // antagonist identification through the per-suspect loop — the agent
-  // rebuilds a SuspectInput vector (string copies and all) on every anomaly
-  // and AntagonistIdentifier::Analyze runs one FusedAntagonistCorrelation
-  // call per suspect — instead of the batched one-pass engine over the
-  // agent's persistent suspect table (DESIGN.md §17). Ranked output is
-  // bit-identical: ParallelDeterminismTest.BatchedIdentificationMatchesPerSuspect
-  // and bench_identification_storm's pre-timing check hold the proof.
-  // legacy_correlation_path implies this path (AlignSeries is per-suspect by
-  // construction), so the three identification tiers chain:
-  // batched ≡ per-suspect fused ≡ per-suspect AlignSeries.
-  bool legacy_identification_path = false;
 
   // --- enforcement (section 5) ----------------------------------------------
   // "0.01 CPU-sec/sec for low-importance ('best effort') batch jobs and 0.1
@@ -137,28 +118,14 @@ struct Cpi2Params {
   // Cell count for the tiered path (ignored when flat_aggregation_path is
   // set). Values < 1 are clamped to 1.
   int aggregation_cells = 4;
-  // Validation escape hatch, mirroring legacy_correlation_path: route
-  // IncidentLog::Select / TopAntagonists through the reference O(n) scan
-  // instead of the columnar segment store + posting lists. The two paths are
-  // result-identical (same rows, ordering, and tie-breaks) — proven by
-  // forensics_equivalence_test — so this exists to keep that claim checkable
-  // in CI and as the baseline for bench_forensics_query.
-  bool legacy_forensics_path = false;
 
-  // --- wire & storage formats (engineering; no paper counterpart) -----------
-  // Validation escape hatch, mirroring legacy_correlation_path: route the
-  // agent→aggregator transport through per-sample struct delivery and write
-  // incidents/checkpoints in their text formats, instead of the binary
-  // dictionary-coded wire path. Both paths are observably identical — same
-  // specs, incidents, health counters, and fault-RNG draws — proven by
-  // ParallelDeterminismTest.LegacyWirePathMatchesBinary. Text files remain
-  // loadable forever regardless of this flag.
-  bool legacy_wire_path = false;
-
+  // --- wire format (engineering; no paper counterpart) ----------------------
   // Flush policy for the binary sample-batch transport. A batch seals when
   // it reaches wire_batch_max_samples, or at the first flush opportunity
-  // once it is wire_batch_max_age old (0 = seal at every flush, which makes
-  // batch delivery timing identical to per-sample delivery).
+  // once it is wire_batch_max_age old (0 = seal at every flush). The default
+  // stays 0 because the golden digests and the paper-figure verdicts are
+  // pinned to seal-at-every-flush delivery timing; moving to a nonzero age
+  // must re-pin them.
   int wire_batch_max_samples = 64;
   MicroTime wire_batch_max_age = 0;
 

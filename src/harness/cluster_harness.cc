@@ -27,7 +27,6 @@ ClusterHarness::ClusterHarness(Options options)
     : options_(options),
       cluster_(options_.cluster),
       aggregator_(options.params),
-      incident_log_(options.params.legacy_forensics_path),
       drop_rng_(options.cluster.seed ^ kDropSeedSalt) {
   if (!options_.params.flat_aggregation_path) {
     hier_aggregator_ = std::make_unique<HierarchicalAggregator>(options_.params);
@@ -77,14 +76,8 @@ void ClusterHarness::WireAgents() {
     // deterministic machine-order drain in OnTick.
     AgentChannel& channel = channels_[i];
     channel.machine = machine;
-    if (options_.params.legacy_wire_path) {
-      agent->SetDeliveryCallback(
-          [this, i](const CpiSample& sample) { return DeliverSample(i, sample); });
-    } else {
-      agent->SetBatchDeliveryCallback([this, i](const EncodedSampleBatch& batch) {
-        return DeliverBatch(i, batch);
-      });
-    }
+    agent->SetBatchDeliveryCallback(
+        [this, i](const EncodedSampleBatch& batch) { return DeliverBatch(i, batch); });
     agent->SetIncidentCallback(
         [&channel](const Incident& incident) { channel.incidents.push_back(incident); });
     channel.agent = agent.get();
@@ -175,7 +168,8 @@ void ClusterHarness::TickChannel(AgentChannel& channel, MicroTime now) {
   machine_agent->Tick(now);
 }
 
-DeliveryResult ClusterHarness::DeliverSample(size_t machine_index, const CpiSample& sample) {
+ClusterHarness::DeliveryResult ClusterHarness::DeliverSample(size_t machine_index,
+                                                             const CpiSample& sample) {
   if (fault_plane_->SampleBurstActive(static_cast<int>(machine_index))) {
     return DeliveryResult::kLost;  // ToR brownout: gone, not queued anywhere
   }
@@ -199,7 +193,7 @@ BatchDeliveryOutcome ClusterHarness::DeliverBatch(size_t machine_index,
                                                   const EncodedSampleBatch& batch) {
   BatchDeliveryOutcome outcome;
   // One corruption draw per delivery attempt, before any per-sample draw
-  // (rate 0 draws nothing, keeping the stream identical to the legacy path).
+  // (rate 0 draws nothing, so a clean run's fault stream is untouched).
   std::string_view bytes = batch.bytes;
   std::string corrupted;
   if (fault_plane_->DrawWireCorrupt(static_cast<int>(machine_index))) {

@@ -190,20 +190,24 @@ class ClusterHarness {
   // The per-machine share of OnTick; runs concurrently across channels.
   void TickChannel(AgentChannel& channel, MicroTime now);
 
-  // One delivery attempt from machine `machine_index`'s outbox. Applies, in
-  // order: burst loss, the legacy uniform drop, aggregator outage
-  // (retryable), then hands the sample to the aggregator; a lost ack after
-  // acceptance reports kUnavailable so the agent retries (and dedup absorbs
-  // the duplicate).
-  DeliveryResult DeliverSample(size_t machine_index, const CpiSample& sample);
-
-  // One delivery attempt of an encoded batch (the binary wire path). Draws
-  // the per-batch corruption fault, decodes, then runs every unsettled
-  // sample through DeliverSample — the same code and draw order as
-  // per-sample delivery, which is what makes legacy_wire_path observably
-  // inert. Stops at the first retryable sample so the agent re-sends the
-  // same bytes from that offset after backoff.
+  // One delivery attempt of an encoded batch from machine `machine_index`'s
+  // outbox. Draws the per-batch corruption fault, decodes, then runs every
+  // unsettled sample through DeliverSample. Stops at the first retryable
+  // sample so the agent re-sends the same bytes from that offset after
+  // backoff.
   BatchDeliveryOutcome DeliverBatch(size_t machine_index, const EncodedSampleBatch& batch);
+
+  // What became of one sample inside a batch delivery attempt.
+  enum class DeliveryResult {
+    kAck,          // accepted by the aggregator; done
+    kLost,         // dropped in flight (network loss); do not retry
+    kUnavailable,  // pipeline unreachable; keep the sample and retry later
+  };
+  // DeliverBatch's per-sample fault step. Applies, in order: burst loss, the
+  // uniform sample_drop_rate, aggregator outage (retryable), then hands the
+  // sample to the aggregator; a lost ack after acceptance reports
+  // kUnavailable so the agent retries (and dedup absorbs the duplicate).
+  DeliveryResult DeliverSample(size_t machine_index, const CpiSample& sample);
 
   // Fault-plane wrapper around one spec push. Draw order: lost, delayed,
   // duplicated.

@@ -34,17 +34,4 @@ double TimeSeries::NearestValue(MicroTime timestamp, MicroTime tolerance, bool* 
   return 0.0;
 }
 
-std::vector<AlignedPair> AlignSeries(const TimeSeries& a, const TimeSeries& b, MicroTime begin,
-                                     MicroTime end, MicroTime tolerance) {
-  std::vector<AlignedPair> out;
-  for (const TimePoint& pa : View(a, begin, end)) {
-    bool found = false;
-    const double vb = b.NearestValue(pa.timestamp, tolerance, &found);
-    if (found) {
-      out.push_back({pa.timestamp, pa.value, vb});
-    }
-  }
-  return out;
-}
-
 }  // namespace cpi2

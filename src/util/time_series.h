@@ -9,17 +9,14 @@
 // trim are allocation-free in the steady state, and the timestamps stay
 // sorted, so every lookup is a binary search instead of a front-to-back
 // scan. Window extraction is an index pair (WindowView) over the ring — no
-// copy — and NearestValue is O(log n). The merge-join fast path
-// (core/correlation.h) builds on NearestCursor below; the legacy
-// AlignSeries is kept as the reference implementation it must match
-// bit-for-bit.
+// copy — and NearestValue is O(log n). The batched correlation kernel
+// (core/correlation.h) aligns series with CachedNearestCursor below.
 
 #ifndef CPI2_UTIL_TIME_SERIES_H_
 #define CPI2_UTIL_TIME_SERIES_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "util/clock.h"
 #include "util/ring_buffer.h"
@@ -82,8 +79,7 @@ class TimeSeries {
   // Returns the value at the point nearest to `timestamp` within
   // `tolerance`, or nullopt-like behaviour via `found`. Among equidistant
   // candidates the latest point wins (matching the historical front-to-back
-  // scan, which NearestCursor and the fused correlation must reproduce
-  // exactly). O(log n).
+  // scan, which CachedNearestCursor must reproduce exactly). O(log n).
   double NearestValue(MicroTime timestamp, MicroTime tolerance, bool* found) const;
 
  private:
@@ -142,45 +138,16 @@ inline MicroTime TimestampDistance(MicroTime a, MicroTime b) {
   return a < b ? b - a : a - b;
 }
 
-// The monotone nearest-match advance shared by NearestCursor and the batched
-// correlation kernel (core/correlation.h). `*cursor` is the caller-held
-// position (start at 0); for a sequence of non-decreasing query timestamps
-// it advances to the index of the point the legacy front-to-back
-// NearestValue scan would pick (minimum distance, latest point wins ties)
-// and returns true when that point is within `tolerance`. One shared body so
-// the per-suspect and batched alignment paths cannot drift: amortized O(1)
-// per query, O(|queries| + |series|) for a whole alignment pass. `series`
-// must be non-empty.
-inline bool SeekNearestAdvance(const TimeSeries& series, MicroTime timestamp,
-                               MicroTime tolerance, size_t* cursor) {
-  const size_t size = series.size();
-  // Greedy advance: each step's distance is computed once and carried into
-  // the next comparison, so a whole alignment pass costs one distance per
-  // (query + advance), not three.
-  size_t next = *cursor;
-  MicroTime current = TimestampDistance(series[next].timestamp, timestamp);
-  while (next + 1 < size) {
-    const MicroTime candidate = TimestampDistance(series[next + 1].timestamp, timestamp);
-    if (candidate > current) {
-      break;
-    }
-    current = candidate;
-    ++next;
-  }
-  *cursor = next;
-  return current <= tolerance;
-}
-
-// Register-resident variant of SeekNearestAdvance for tight alignment
-// sweeps: carries the timestamps of series[next] and series[next + 1]
-// across queries, so a query that advances the cursor by one step costs a
-// single ring read (the new look-ahead) where the plain body pays three
-// (re-reading both neighbors, then the reject). Every comparison is the
-// comparison SeekNearestAdvance makes, on the same values, in the same
-// order — the cache only memoizes reads — so both cursors land on the same
-// index for every query. time_series_test pins that decision-equivalence
-// on random series, and the correlation equivalence suite pins the batched
-// kernel built on this cursor to the fused path built on the plain body.
+// Monotone nearest-match cursor for tight alignment sweeps: for
+// non-decreasing query timestamps it advances greedily to the point the
+// front-to-back NearestValue scan would pick (minimum distance, latest point
+// wins ties), amortized O(1) per query. It carries the timestamps of
+// series[next] and series[next + 1] across queries, so a query that advances
+// the cursor by one step costs a single ring read (the new look-ahead).
+// time_series_test pins it decision-for-decision to the test-side reference
+// advance (tests/testing/reference_correlation.h SeekNearestAdvance), and the
+// correlation equivalence suite pins the batched kernel built on it to the
+// per-suspect reference paths.
 // `series` must be non-empty and outlive the cursor; `start` < size();
 // query timestamps must be non-decreasing.
 class CachedNearestCursor {
@@ -192,9 +159,9 @@ class CachedNearestCursor {
         ts_next_(series[start].timestamp),
         ts_ahead_(start + 1 < series.size() ? series[start + 1].timestamp : 0) {}
 
-  // Advances to the point SeekNearestAdvance would pick for `timestamp`
-  // (minimum distance, latest point wins ties) and returns true when it
-  // lies within `tolerance`. The chosen index is index().
+  // Advances to the nearest point to `timestamp` (minimum distance, latest
+  // point wins ties) and returns true when it lies within `tolerance`. The
+  // chosen index is index().
   bool Seek(MicroTime timestamp, MicroTime tolerance) {
     MicroTime current = TimestampDistance(ts_next_, timestamp);
     while (next_ + 1 < size_) {
@@ -221,48 +188,6 @@ class CachedNearestCursor {
   MicroTime ts_next_;   // (*series_)[next_].timestamp
   MicroTime ts_ahead_;  // (*series_)[next_ + 1].timestamp when it exists
 };
-
-// Two-pointer nearest-match cursor for merge-join alignment: the per-series
-// object wrapper around SeekNearestAdvance.
-class NearestCursor {
- public:
-  explicit NearestCursor(const TimeSeries& series) : series_(&series) {}
-
-  // Positions the cursor on the nearest point to `timestamp` and stores its
-  // index in `*index`. Returns true when that point is within `tolerance`.
-  // Query timestamps must be non-decreasing across calls.
-  bool Seek(MicroTime timestamp, MicroTime tolerance, size_t* index) {
-    if (series_->empty()) {
-      return false;
-    }
-    const bool hit = SeekNearestAdvance(*series_, timestamp, tolerance, &next_);
-    *index = next_;
-    return hit;
-  }
-
- private:
-  const TimeSeries* series_;
-  size_t next_ = 0;
-};
-
-// A time-aligned pair of samples from two series.
-struct AlignedPair {
-  MicroTime timestamp = 0;
-  double a = 0.0;
-  double b = 0.0;
-};
-
-// Aligns two series over [begin, end): for each point of `a` in the window,
-// finds the nearest point of `b` within `tolerance`; pairs without a match
-// are skipped. The paper's samples arrive once a minute on a shared cadence,
-// so `tolerance` of half the cadence pairs them exactly.
-//
-// This is the legacy reference path: it allocates the output vector and is
-// O(|a| log |b|). The hot path (core/correlation.h FusedAntagonistCorrelation)
-// merge-joins the same pairing in O(|a|+|b|) with zero allocations and is
-// proven bit-identical by correlation_equivalence_test.
-std::vector<AlignedPair> AlignSeries(const TimeSeries& a, const TimeSeries& b, MicroTime begin,
-                                     MicroTime end, MicroTime tolerance);
 
 }  // namespace cpi2
 

@@ -5,7 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "perf/flaky_counter_source.h"
 #include "sim/machine.h"
+#include "stats/streaming.h"
+#include "tests/testing/reference_correlation.h"
+#include "util/string_util.h"
 #include "workload/profiles.h"
 
 namespace cpi2 {
@@ -29,6 +37,15 @@ CpiSpec LeafSpec(double mean, double stddev) {
   return spec;
 }
 
+TaskMeta MetaFromSpecLocal(const std::string& name, const TaskSpec& spec) {
+  TaskMeta meta;
+  meta.task = name;
+  meta.jobname = spec.job_name;
+  meta.workload_class = spec.sched_class;
+  meta.priority = spec.priority;
+  return meta;
+}
+
 class AgentTest : public ::testing::Test {
  protected:
   AgentTest()
@@ -44,15 +61,6 @@ class AgentTest : public ::testing::Test {
     spec.diurnal.amplitude = 0.0;
     ASSERT_TRUE(machine_.AddTask("websearch-leaf.0", spec).ok());
     agent_.AddTask(MetaFromSpecLocal("websearch-leaf.0", spec), now_);
-  }
-
-  static TaskMeta MetaFromSpecLocal(const std::string& name, const TaskSpec& spec) {
-    TaskMeta meta;
-    meta.task = name;
-    meta.jobname = spec.job_name;
-    meta.workload_class = spec.sched_class;
-    meta.priority = spec.priority;
-    return meta;
   }
 
   void Run(MicroTime duration) {
@@ -185,6 +193,175 @@ TEST_F(AgentTest, UsageSeriesTracksSamples) {
   const TimeSeries* cpi = agent_.CpiSeries("websearch-leaf.0");
   ASSERT_NE(cpi, nullptr);
   EXPECT_GE(cpi->size(), 4u);
+}
+
+TEST_F(AgentTest, WithoutTransportNothingIsQueued) {
+  // No delivery callback: samples still reach the tap, but nothing enters
+  // the outbox, offered samples are dropped, and a flush is a no-op.
+  AddVictim();
+  Run(3 * kMicrosPerMinute);
+  ASSERT_FALSE(samples_.empty());
+  agent_.OfferSample(samples_.front());
+  agent_.FlushOutbox(now_);
+  EXPECT_EQ(agent_.outbox_size(), 0u);
+  EXPECT_EQ(agent_.health().samples_enqueued, 0);
+  EXPECT_EQ(agent_.health().samples_delivered, 0);
+}
+
+// --- incident-time oracle check ---------------------------------------------
+
+struct OracleRun {
+  int64_t incidents = 0;
+  int64_t incidents_before_restart = 0;
+  int64_t suspects_checked = 0;
+  // Incidents whose correlation window held victim samples on both sides of
+  // the threshold, so both branches of the score were compared.
+  int64_t mixed_windows = 0;
+  int64_t counter_rejects = 0;
+  std::vector<std::string> mismatches;
+};
+
+// Drives one agent through anomalies across task churn and a restart, and at
+// every incident re-ranks the suspects with the per-suspect reference over
+// the agent's own series. The incident callback runs synchronously at the
+// end of the analysis, so the series it reads are exactly the ones the
+// batched engine scored.
+OracleRun RunAgainstReference(bool counter_glitches) {
+  Cpi2Params params = TestParams();
+  params.analysis_interval = 0;         // analyze every anomaly
+  params.enforcement_enabled = false;   // keep the antagonists hurting
+  Machine machine("m0", ReferencePlatform(), 1);
+  FlakyCounterSource::Options flaky_options;
+  flaky_options.seed = 17;
+  flaky_options.zero_rate = 0.01;
+  flaky_options.garbage_rate = 0.01;
+  flaky_options.stuck_rate = 0.01;
+  FlakyCounterSource flaky(&machine, flaky_options);
+  CounterSource* source = counter_glitches ? static_cast<CounterSource*>(&flaky) : &machine;
+  Agent agent({params, "m0", ReferencePlatform().name}, source, &machine);
+
+  OracleRun run;
+  agent.SetIncidentCallback([&](const Incident& incident) {
+    ++run.incidents;
+    const TimeSeries* victim_cpi = agent.CpiSeries(incident.victim_task);
+    if (victim_cpi == nullptr) {
+      run.mismatches.push_back("no CPI series for victim " + incident.victim_task);
+      return;
+    }
+    std::vector<SuspectInput> inputs;
+    for (const auto& [task, meta] : agent.Tasks()) {
+      if (task != incident.victim_task) {
+        inputs.push_back(
+            {task, meta.jobname, meta.workload_class, meta.priority, agent.UsageSeries(task)});
+      }
+    }
+    for (const ReferenceKernel kernel :
+         {ReferenceKernel::kFused, ReferenceKernel::kAlignSeries}) {
+      const std::vector<Suspect> reference = ReferenceAnalyze(
+          params, *victim_cpi, incident.cpi_threshold, inputs, incident.timestamp, kernel);
+      bool same = reference.size() == incident.suspects.size();
+      for (size_t i = 0; same && i < reference.size(); ++i) {
+        const Suspect& a = incident.suspects[i];
+        const Suspect& b = reference[i];
+        same = a.task == b.task && a.jobname == b.jobname &&
+               a.workload_class == b.workload_class && a.priority == b.priority &&
+               a.correlation == b.correlation;  // exact, not near
+      }
+      if (!same) {
+        run.mismatches.push_back(StrFormat("t=%lld victim=%s: %zu suspects vs %zu reference",
+                                           static_cast<long long>(incident.timestamp),
+                                           incident.victim_task.c_str(),
+                                           incident.suspects.size(), reference.size()));
+      }
+    }
+    run.suspects_checked += static_cast<int64_t>(incident.suspects.size());
+    bool below = false;
+    bool above = false;
+    for (const TimePoint& point :
+         View(*victim_cpi, incident.timestamp - params.correlation_window, incident.timestamp)) {
+      (point.value < incident.cpi_threshold ? below : above) = true;
+    }
+    run.mixed_windows += below && above ? 1 : 0;
+  });
+
+  MicroTime now = 0;
+  const auto run_for = [&](MicroTime duration) {
+    for (const MicroTime end = now + duration; now < end;) {
+      now += kMicrosPerSecond;
+      machine.Tick(now, kMicrosPerSecond);
+      agent.Tick(now);
+    }
+  };
+  const auto add = [&](const std::string& name, const TaskSpec& spec) {
+    EXPECT_TRUE(machine.AddTask(name, spec).ok()) << name;
+    agent.AddTask(MetaFromSpecLocal(name, spec), now);
+  };
+  const auto remove = [&](const std::string& name) {
+    EXPECT_TRUE(machine.RemoveTask(name).ok()) << name;
+    agent.RemoveTask(name);
+  };
+
+  TaskSpec leaf = WebSearchLeafSpec();
+  leaf.diurnal.amplitude = 0.0;
+  for (int v = 0; v < 3; ++v) {
+    add(StrFormat("websearch-leaf.%d", v), leaf);
+  }
+  add("filler-svc.0", FillerServiceSpec(0.3));
+  add("filler-batch.0", FillerBatchSpec(0.3));
+  run_for(5 * kMicrosPerMinute);
+  // The victims' spec is their own uncontended behaviour, so the victims sit
+  // below the outlier threshold until an antagonist arrives.
+  StreamingStats victim_cpi;
+  for (int v = 0; v < 3; ++v) {
+    const TimeSeries& cpi = *agent.CpiSeries(StrFormat("websearch-leaf.%d", v));
+    for (size_t i = 0; i < cpi.size(); ++i) {
+      victim_cpi.Add(cpi[i].value);
+    }
+  }
+  const CpiSpec spec = LeafSpec(victim_cpi.mean(), std::max(0.02, victim_cpi.stddev()));
+  agent.UpdateSpec(spec, now);
+
+  // Anomalies, then churn between them: a co-runner leaves, a new one (a
+  // fresh suspect-table row) arrives, and the antagonist itself is replaced.
+  add("video.0", VideoProcessingSpec());
+  run_for(6 * kMicrosPerMinute);
+  remove("filler-batch.0");
+  add("filler-batch.1", FillerBatchSpec(0.3));
+  run_for(4 * kMicrosPerMinute);
+  remove("video.0");
+  add("video.1", VideoProcessingSpec());
+  run_for(5 * kMicrosPerMinute);
+
+  // Crash and restart: every series and the suspect table are gone; the
+  // restarted agent re-registers the machine's tasks and needs fresh specs.
+  run.incidents_before_restart = run.incidents;
+  agent.Restart(now);
+  for (Task* task : machine.Tasks()) {
+    agent.AddTask(MetaFromSpecLocal(task->name(), task->spec()), now);
+  }
+  agent.UpdateSpec(spec, now);
+  run_for(10 * kMicrosPerMinute);
+
+  run.counter_rejects = agent.health().counter_rejects;
+  EXPECT_EQ(agent.health().restarts, 1);
+  return run;
+}
+
+TEST(AgentOracleTest, IncidentRankingsMatchReferenceAcrossChurnAndRestart) {
+  const OracleRun run = RunAgainstReference(/*counter_glitches=*/false);
+  EXPECT_GE(run.incidents_before_restart, 10) << "identification must fire before the restart";
+  EXPECT_GE(run.incidents - run.incidents_before_restart, 3) << "... and after it";
+  EXPECT_GT(run.suspects_checked, 3 * run.incidents);
+  EXPECT_GE(run.mixed_windows, 3) << "healthy and painful victim samples must both be scored";
+  EXPECT_TRUE(run.mismatches.empty()) << run.mismatches.front();
+}
+
+TEST(AgentOracleTest, IncidentRankingsMatchReferenceUnderCounterGlitches) {
+  const OracleRun run = RunAgainstReference(/*counter_glitches=*/true);
+  EXPECT_GT(run.counter_rejects, 0) << "glitches must actually reach the agent";
+  EXPECT_GE(run.incidents_before_restart, 10) << "identification must fire before the restart";
+  EXPECT_GE(run.incidents - run.incidents_before_restart, 3) << "... and after it";
+  EXPECT_TRUE(run.mismatches.empty()) << run.mismatches.front();
 }
 
 }  // namespace

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "tests/testing/reference_correlation.h"
+
 namespace cpi2 {
 namespace {
 
@@ -25,6 +31,30 @@ TimeSeries ActiveDuring(int from, int to, double level = 2.0) {
   return series;
 }
 
+// Runs AnalyzeBatched over `inputs` the way the agent does: rows sorted by
+// task name over stable name storage, results materialized as Suspects.
+std::vector<Suspect> Rank(AntagonistIdentifier& identifier, const TimeSeries& victim,
+                          double cpi_threshold, std::vector<SuspectInput> inputs,
+                          MicroTime now) {
+  std::sort(inputs.begin(), inputs.end(),
+            [](const SuspectInput& a, const SuspectInput& b) { return a.task < b.task; });
+  std::vector<AntagonistIdentifier::SuspectRow> rows;
+  for (const SuspectInput& input : inputs) {
+    rows.push_back({&input.task, &input.jobname, input.workload_class, input.priority,
+                    input.usage});
+  }
+  std::vector<AntagonistIdentifier::RankedRef> ranked;
+  identifier.AnalyzeBatched(victim, cpi_threshold, rows, AntagonistIdentifier::kNoSkip, now,
+                            &ranked);
+  std::vector<Suspect> out;
+  for (const AntagonistIdentifier::RankedRef& ref : ranked) {
+    const AntagonistIdentifier::SuspectRow& row = rows[ref.row];
+    out.push_back(
+        {*row.task, *row.jobname, row.workload_class, row.priority, ref.correlation});
+  }
+  return out;
+}
+
 TEST(AntagonistIdentifierTest, RanksCoincidentSuspectFirst) {
   AntagonistIdentifier identifier(Cpi2Params{});
   const TimeSeries victim = PainfulVictim();
@@ -32,7 +62,7 @@ TEST(AntagonistIdentifierTest, RanksCoincidentSuspectFirst) {
   const TimeSeries innocent = ActiveDuring(0, 5);
   const TimeSeries constant = ActiveDuring(0, 10);
 
-  std::vector<AntagonistIdentifier::SuspectInput> inputs;
+  std::vector<SuspectInput> inputs;
   inputs.push_back({"guilty.0", "guilty", WorkloadClass::kBatch,
                     JobPriority::kBestEffort, &guilty});
   inputs.push_back({"innocent.0", "innocent", WorkloadClass::kBatch,
@@ -40,8 +70,8 @@ TEST(AntagonistIdentifierTest, RanksCoincidentSuspectFirst) {
   inputs.push_back({"constant.0", "constant", WorkloadClass::kLatencySensitive,
                     JobPriority::kProduction, &constant});
 
-  const auto ranked = identifier.Analyze(victim, /*cpi_threshold=*/2.0, inputs,
-                                         /*now=*/10 * kMinute);
+  const auto ranked = Rank(identifier, victim, /*cpi_threshold=*/2.0, inputs,
+                           /*now=*/10 * kMinute);
   ASSERT_EQ(ranked.size(), 3u);
   EXPECT_EQ(ranked[0].task, "guilty.0");
   EXPECT_GT(ranked[0].correlation, 0.35);
@@ -59,7 +89,7 @@ TEST(AntagonistIdentifierTest, RateLimitsToOnePerInterval) {
   AntagonistIdentifier identifier(Cpi2Params{});
   EXPECT_TRUE(identifier.Allowed(0));
   const TimeSeries victim = PainfulVictim();
-  (void)identifier.Analyze(victim, 2.0, {}, 10 * kMinute);
+  (void)Rank(identifier, victim, 2.0, {}, 10 * kMinute);
   EXPECT_FALSE(identifier.Allowed(10 * kMinute));
   EXPECT_FALSE(identifier.Allowed(10 * kMinute + kMicrosPerSecond / 2));
   EXPECT_TRUE(identifier.Allowed(10 * kMinute + kMicrosPerSecond));
@@ -69,10 +99,10 @@ TEST(AntagonistIdentifierTest, RateLimitsToOnePerInterval) {
 TEST(AntagonistIdentifierTest, NullUsageSeriesIsSkipped) {
   AntagonistIdentifier identifier(Cpi2Params{});
   const TimeSeries victim = PainfulVictim();
-  std::vector<AntagonistIdentifier::SuspectInput> inputs;
+  std::vector<SuspectInput> inputs;
   inputs.push_back({"ghost.0", "ghost", WorkloadClass::kBatch,
                     JobPriority::kBestEffort, nullptr});
-  EXPECT_TRUE(identifier.Analyze(victim, 2.0, inputs, 10 * kMinute).empty());
+  EXPECT_TRUE(Rank(identifier, victim, 2.0, inputs, 10 * kMinute).empty());
 }
 
 TEST(AntagonistIdentifierTest, SuspectOutsideWindowIsSkipped) {
@@ -84,10 +114,10 @@ TEST(AntagonistIdentifierTest, SuspectOutsideWindowIsSkipped) {
   const TimeSeries victim = PainfulVictim();
   TimeSeries stale;
   stale.Append(0, 1.0);
-  std::vector<AntagonistIdentifier::SuspectInput> inputs;
+  std::vector<SuspectInput> inputs;
   inputs.push_back({"stale.0", "stale", WorkloadClass::kBatch,
                     JobPriority::kBestEffort, &stale});
-  EXPECT_TRUE(identifier.Analyze(victim, 2.0, inputs, 10 * kMinute).empty());
+  EXPECT_TRUE(Rank(identifier, victim, 2.0, inputs, 10 * kMinute).empty());
 }
 
 TEST(AntagonistIdentifierTest, EqualCorrelationsBreakTiesByTaskId) {
@@ -99,13 +129,13 @@ TEST(AntagonistIdentifierTest, EqualCorrelationsBreakTiesByTaskId) {
   const TimeSeries usage_a = ActiveDuring(5, 10);
   const TimeSeries usage_b = ActiveDuring(5, 10);
 
-  std::vector<AntagonistIdentifier::SuspectInput> inputs;
+  std::vector<SuspectInput> inputs;
   inputs.push_back({"zeta.0", "zeta", WorkloadClass::kBatch,
                     JobPriority::kBestEffort, &usage_a});
   inputs.push_back({"alpha.0", "alpha", WorkloadClass::kBatch,
                     JobPriority::kBestEffort, &usage_b});
 
-  auto ranked = identifier.Analyze(victim, 2.0, inputs, 10 * kMinute);
+  auto ranked = Rank(identifier, victim, 2.0, inputs, 10 * kMinute);
   ASSERT_EQ(ranked.size(), 2u);
   EXPECT_EQ(ranked[0].correlation, ranked[1].correlation);
   EXPECT_EQ(ranked[0].task, "alpha.0");
@@ -114,7 +144,7 @@ TEST(AntagonistIdentifierTest, EqualCorrelationsBreakTiesByTaskId) {
   // Reversed input order produces the same ranking.
   std::swap(inputs[0], inputs[1]);
   AntagonistIdentifier reversed(Cpi2Params{});
-  ranked = reversed.Analyze(victim, 2.0, inputs, 10 * kMinute);
+  ranked = Rank(reversed, victim, 2.0, inputs, 10 * kMinute);
   ASSERT_EQ(ranked.size(), 2u);
   EXPECT_EQ(ranked[0].task, "alpha.0");
   EXPECT_EQ(ranked[1].task, "zeta.0");
@@ -128,10 +158,10 @@ TEST(AntagonistIdentifierTest, WindowRestrictsSamples) {
   AntagonistIdentifier identifier(params);
   const TimeSeries victim = PainfulVictim();
   const TimeSeries constant = ActiveDuring(0, 10);
-  std::vector<AntagonistIdentifier::SuspectInput> inputs;
+  std::vector<SuspectInput> inputs;
   inputs.push_back({"constant.0", "constant", WorkloadClass::kBatch,
                     JobPriority::kBestEffort, &constant});
-  const auto ranked = identifier.Analyze(victim, 2.0, inputs, 10 * kMinute);
+  const auto ranked = Rank(identifier, victim, 2.0, inputs, 10 * kMinute);
   ASSERT_EQ(ranked.size(), 1u);
   EXPECT_GT(ranked[0].correlation, 0.4);
 }
@@ -159,7 +189,7 @@ std::vector<AntagonistIdentifier::SuspectRow> MakeRows(
 
 TEST(AntagonistIdentifierTest, AnalyzeBatchedMatchesAnalyze) {
   // The batched engine over an interned table returns the same tasks in the
-  // same order with bit-identical correlations as per-suspect Analyze.
+  // same order with bit-identical correlations as the per-suspect reference.
   const TimeSeries victim = PainfulVictim();
   const TimeSeries guilty = ActiveDuring(5, 10);
   const TimeSeries innocent = ActiveDuring(0, 5);
@@ -169,21 +199,23 @@ TEST(AntagonistIdentifierTest, AnalyzeBatchedMatchesAnalyze) {
   const std::vector<std::string> jobs = {"constant", "guilty", "innocent"};
   const auto rows = MakeRows(names, jobs, {&constant, &guilty, &innocent});
 
-  std::vector<AntagonistIdentifier::SuspectInput> inputs;
+  std::vector<SuspectInput> inputs;
   for (const auto& row : rows) {
     inputs.push_back({*row.task, *row.jobname, row.workload_class, row.priority, row.usage});
   }
 
   AntagonistIdentifier batched(Cpi2Params{});
-  AntagonistIdentifier per_suspect(Cpi2Params{});
   std::vector<AntagonistIdentifier::RankedRef> ranked;
   batched.AnalyzeBatched(victim, 2.0, rows, AntagonistIdentifier::kNoSkip, 10 * kMinute,
                          &ranked);
-  const auto reference = per_suspect.Analyze(victim, 2.0, inputs, 10 * kMinute);
-  ASSERT_EQ(ranked.size(), reference.size());
-  for (size_t i = 0; i < ranked.size(); ++i) {
-    EXPECT_EQ(*rows[ranked[i].row].task, reference[i].task) << "rank " << i;
-    EXPECT_EQ(ranked[i].correlation, reference[i].correlation) << "rank " << i;
+  for (const ReferenceKernel kernel : {ReferenceKernel::kFused, ReferenceKernel::kAlignSeries}) {
+    const auto reference =
+        ReferenceAnalyze(Cpi2Params{}, victim, 2.0, inputs, 10 * kMinute, kernel);
+    ASSERT_EQ(ranked.size(), reference.size());
+    for (size_t i = 0; i < ranked.size(); ++i) {
+      EXPECT_EQ(*rows[ranked[i].row].task, reference[i].task) << "rank " << i;
+      EXPECT_EQ(ranked[i].correlation, reference[i].correlation) << "rank " << i;
+    }
   }
   EXPECT_EQ(batched.analyses_run(), 1);
 }
@@ -213,7 +245,7 @@ TEST(AntagonistIdentifierTest, AnalyzeBatchedSkipsTheSkipRow) {
 
 TEST(AntagonistIdentifierTest, AnalyzeBatchedBreaksTiesByRowOrder) {
   // Identical scores rank by ascending row index == ascending task id (the
-  // table is name-sorted), mirroring Analyze's string tie-break.
+  // table is name-sorted).
   const TimeSeries victim = PainfulVictim();
   const TimeSeries usage_a = ActiveDuring(5, 10);
   const TimeSeries usage_b = ActiveDuring(5, 10);

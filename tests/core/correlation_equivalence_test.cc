@@ -1,22 +1,26 @@
-// Property test: the fused merge-join correlation path is bit-identical to
-// the legacy AlignSeries + AntagonistCorrelation reference path.
+// Property tests chaining the identification engine to its reference
+// implementations (tests/testing/reference_correlation.h):
 //
-// "Bit-identical" is a hard requirement, not an approximation: the fast path
-// replaces the legacy path by default (params.legacy_correlation_path), and
-// the deterministic-replay guarantees of the harness assume the switch
-// changes no observable double anywhere. The fused implementation therefore
+//   AlignSeries + AntagonistCorrelation == FusedAntagonistCorrelation
+//       == BatchedAntagonistCorrelation (the production kernel)
+//   ReferenceAnalyze == AntagonistIdentifier::AnalyzeBatched (production)
+//
+// "Bit-identical" is a hard requirement, not an approximation: every tier
 // visits the identical pairs in the identical order with identical per-pair
-// arithmetic, which this test checks with EXPECT_EQ on raw doubles across
-// 1000 randomized series pairs.
+// arithmetic, which these tests check with EXPECT_EQ on raw doubles over
+// randomized series.
 
 #include <cstdint>
 #include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/antagonist_identifier.h"
 #include "core/correlation.h"
+#include "tests/testing/reference_correlation.h"
+#include "util/string_util.h"
 #include "util/time_series.h"
 
 namespace cpi2 {
@@ -183,35 +187,59 @@ TEST(CorrelationEquivalenceTest, BatchedMatchesFusedOnRandomBatches) {
 }
 
 TEST(CorrelationEquivalenceTest, FullAnalyzeMatchesAcrossPaths) {
-  // End-to-end: the identifier's ranking (order, tasks, raw correlation
-  // doubles) is identical with the flag on and off.
+  // End-to-end: the production engine's ranking (order, tasks, raw
+  // correlation doubles) equals the per-suspect reference ranking over the
+  // same suspects, on random tables with a skipped victim row, null series
+  // and empty series, with the engine's scratch reused across trials.
   std::mt19937_64 rng(7);
   RandomSeriesOptions options;
-  const TimeSeries victim = RandomSeries(rng, options, 0.5, 5.0);
-  std::vector<TimeSeries> usages;
-  for (int i = 0; i < 20; ++i) {
-    usages.push_back(RandomSeries(rng, options, 0.0, 2.0));
+  Cpi2Params params;
+  params.analysis_interval = 0;
+  AntagonistIdentifier identifier(params);
+  std::vector<AntagonistIdentifier::RankedRef> ranked;
+  const TimeSeries empty;
+  size_t compared = 0;
+  for (int trial = 0; trial < 50; ++trial) {
+    const TimeSeries victim = RandomSeries(rng, options, 0.5, 5.0);
+    const int n = 1 + trial % 23;
+    std::vector<TimeSeries> usages;
+    usages.reserve(static_cast<size_t>(n));  // no reallocation: pointers stay valid
+    std::vector<std::string> names;
+    names.reserve(static_cast<size_t>(n));
+    const std::string job = "job";
+    const size_t skip_row =
+        trial % 3 == 0 ? AntagonistIdentifier::kNoSkip : static_cast<size_t>(trial % n);
+    std::vector<AntagonistIdentifier::SuspectRow> rows;
+    std::vector<SuspectInput> inputs;
+    for (int i = 0; i < n; ++i) {
+      usages.push_back(RandomSeries(rng, options, 0.0, 2.0));
+      names.push_back(StrFormat("task.%02d", i));  // rows stay name-sorted
+      const TimeSeries* usage = &usages.back();
+      if (i % 7 == 3) {
+        usage = nullptr;
+      } else if (i % 9 == 5) {
+        usage = &empty;
+      }
+      rows.push_back({&names.back(), &job, WorkloadClass::kBatch, JobPriority::kBestEffort,
+                      usage});
+      if (static_cast<size_t>(i) != skip_row) {
+        inputs.push_back({names.back(), job, WorkloadClass::kBatch, JobPriority::kBestEffort,
+                          usage});
+      }
+    }
+    const MicroTime now = 600 * kSecond - (trial % 5) * 30 * kSecond;
+    const double threshold = 2.0 + 0.1 * (trial % 4);
+    identifier.AnalyzeBatched(victim, threshold, rows, skip_row, now, &ranked);
+    const std::vector<Suspect> reference =
+        ReferenceAnalyze(params, victim, threshold, inputs, now);
+    ASSERT_EQ(ranked.size(), reference.size()) << "trial " << trial;
+    for (size_t i = 0; i < ranked.size(); ++i) {
+      EXPECT_EQ(*rows[ranked[i].row].task, reference[i].task) << "trial " << trial;
+      EXPECT_EQ(ranked[i].correlation, reference[i].correlation) << "trial " << trial;
+    }
+    compared += ranked.size();
   }
-  std::vector<AntagonistIdentifier::SuspectInput> inputs;
-  for (int i = 0; i < 20; ++i) {
-    inputs.push_back({"task." + std::to_string(i), "job", WorkloadClass::kBatch,
-                      JobPriority::kBestEffort, &usages[i]});
-  }
-
-  Cpi2Params fast_params;
-  fast_params.legacy_correlation_path = false;
-  Cpi2Params legacy_params;
-  legacy_params.legacy_correlation_path = true;
-  AntagonistIdentifier fast(fast_params);
-  AntagonistIdentifier legacy(legacy_params);
-  const auto fast_ranked = fast.Analyze(victim, 2.0, inputs, 600 * kSecond);
-  const auto legacy_ranked = legacy.Analyze(victim, 2.0, inputs, 600 * kSecond);
-  ASSERT_EQ(fast_ranked.size(), legacy_ranked.size());
-  ASSERT_FALSE(fast_ranked.empty());
-  for (size_t i = 0; i < fast_ranked.size(); ++i) {
-    EXPECT_EQ(fast_ranked[i].task, legacy_ranked[i].task);
-    EXPECT_EQ(fast_ranked[i].correlation, legacy_ranked[i].correlation);
-  }
+  EXPECT_GT(compared, 100u);  // the trials really scored suspects
 }
 
 }  // namespace

@@ -1,9 +1,12 @@
-// Tests for the paper's antagonist-correlation formula (section 4.2).
-
-#include "core/correlation.h"
+// Tests for the paper's antagonist-correlation formula (section 4.2), on the
+// reference scorer that the production batched kernel is held bit-identical
+// to (correlation_equivalence_test).
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "tests/testing/reference_correlation.h"
 #include "util/rng.h"
 
 namespace cpi2 {

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/incident_log.h"
+#include "tests/testing/forensics_oracle.h"
 #include "util/rng.h"
 #include "util/string_util.h"
 
@@ -101,39 +102,15 @@ std::vector<IncidentLog::Query> QueryMix(Rng& rng, MicroTime span) {
   return queries;
 }
 
-std::string StatsFingerprint(const std::vector<IncidentLog::AntagonistStats>& ranked) {
-  std::string out;
-  for (const IncidentLog::AntagonistStats& stats : ranked) {
-    out += StrFormat("%s|%d|%d|%.17g|%.17g\n", stats.jobname.c_str(), stats.incidents,
-                     stats.times_capped, stats.max_correlation, stats.mean_correlation);
-  }
-  return out;
-}
-
 void ExpectEquivalent(const IncidentLog& log, MicroTime span, uint64_t query_seed) {
   Rng rng(query_seed);
-  size_t nonempty = 0;
-  for (const IncidentLog::Query& query : QueryMix(rng, span)) {
-    const auto fast = log.Select(query);
-    const auto scan = log.SelectLegacy(query);
-    // Pointer equality is the whole claim: same rows out of the same deque,
-    // in the same order.
-    ASSERT_EQ(fast, scan) << "victim=" << query.victim_job << " machine=" << query.machine
-                          << " [" << query.begin << "," << query.end << ")"
-                          << " corr>=" << query.min_top_correlation
-                          << " capped=" << query.capped_only;
-    nonempty += fast.empty() ? 0 : 1;
-
-    for (const int k : {0, 3}) {
-      EXPECT_EQ(StatsFingerprint(
-                    log.TopAntagonists(query.victim_job, query.begin, query.end, k)),
-                StatsFingerprint(
-                    log.TopAntagonistsLegacy(query.victim_job, query.begin, query.end, k)))
-          << "victim=" << query.victim_job << " [" << query.begin << "," << query.end
-          << ") k=" << k;
-    }
-  }
+  const std::vector<IncidentLog::Query> queries = QueryMix(rng, span);
+  EXPECT_EQ(ForensicsOracleMismatch(log, queries), "");
   if (log.size() >= 100) {
+    size_t nonempty = 0;
+    for (const IncidentLog::Query& query : queries) {
+      nonempty += log.Select(query).empty() ? 0 : 1;
+    }
     EXPECT_GT(nonempty, 5u) << "query mix must actually hit rows";
   }
 }
@@ -176,10 +153,10 @@ TEST(ForensicsEquivalenceTest, RankingTieBreaksMatch) {
       log.Add(incident);
     }
   }
-  const auto fast = log.TopAntagonists("victim", 0, 0, 0);
-  const auto scan = log.TopAntagonistsLegacy("victim", 0, 0, 0);
-  ASSERT_EQ(fast.size(), 5u);
-  EXPECT_EQ(StatsFingerprint(fast), StatsFingerprint(scan));
+  ASSERT_EQ(log.TopAntagonists("victim", 0, 0, 0).size(), 5u);
+  IncidentLog::Query query;
+  query.victim_job = "victim";
+  EXPECT_EQ(ForensicsOracleMismatch(log, {query}), "");
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 #include <filesystem>
 #include <fstream>
 
+#include "tests/testing/incident_text.h"
+
 namespace cpi2 {
 namespace {
 
@@ -125,7 +127,7 @@ TEST_F(IncidentLogIoTest, TruncatedRowSkippedWithCount) {
   IncidentLog log;
   log.Add(MakeIncident(kMicrosPerMinute));
   log.Add(MakeIncident(2 * kMicrosPerMinute));
-  ASSERT_TRUE(SaveIncidents(path_, log, IncidentFileFormat::kText).ok());
+  ASSERT_TRUE(SaveIncidentsText(path_, log).ok());
   {
     std::ofstream file(path_, std::ios::app);
     file << "123\tm0\tonly-three-fields\n";  // torn tail line
@@ -142,7 +144,7 @@ TEST_F(IncidentLogIoTest, SkippedLineIsIdentifiedByNumber) {
   // damage: "<path>:<line>: <reason>".
   IncidentLog log;
   log.Add(MakeIncident(kMicrosPerMinute));
-  ASSERT_TRUE(SaveIncidents(path_, log, IncidentFileFormat::kText).ok());
+  ASSERT_TRUE(SaveIncidentsText(path_, log).ok());
   {
     std::ofstream file(path_, std::ios::app);
     file << "torn\n";
@@ -159,7 +161,7 @@ TEST_F(IncidentLogIoTest, SkippedLineIsIdentifiedByNumber) {
 TEST_F(IncidentLogIoTest, CorruptSuspectColumnSkippedWithCount) {
   IncidentLog log;
   log.Add(MakeIncident(kMicrosPerMinute));
-  ASSERT_TRUE(SaveIncidents(path_, log, IncidentFileFormat::kText).ok());
+  ASSERT_TRUE(SaveIncidentsText(path_, log).ok());
   // Corrupt the suspects column of a copy of the valid row: right field
   // count, malformed suspect record.
   {
@@ -187,7 +189,7 @@ TEST_F(IncidentLogIoTest, SeparatorInNameRejectedAtSave) {
   Incident incident = MakeIncident(0);
   incident.victim_job = "evil;job";
   log.Add(incident);
-  EXPECT_FALSE(SaveIncidents(path_, log, IncidentFileFormat::kText).ok());
+  EXPECT_FALSE(SaveIncidentsText(path_, log).ok());
 }
 
 TEST_F(IncidentLogIoTest, RejectedTextSaveLeavesPreviousArchiveIntact) {
@@ -195,12 +197,12 @@ TEST_F(IncidentLogIoTest, RejectedTextSaveLeavesPreviousArchiveIntact) {
   // not clobber the previous archive.
   IncidentLog good;
   good.Add(MakeIncident(kMicrosPerMinute));
-  ASSERT_TRUE(SaveIncidents(path_, good, IncidentFileFormat::kText).ok());
+  ASSERT_TRUE(SaveIncidentsText(path_, good).ok());
   IncidentLog bad;
   Incident incident = MakeIncident(0);
   incident.victim_job = "evil;job";
   bad.Add(incident);
-  ASSERT_FALSE(SaveIncidents(path_, bad, IncidentFileFormat::kText).ok());
+  ASSERT_FALSE(SaveIncidentsText(path_, bad).ok());
   const auto loaded = LoadIncidents(path_);
   ASSERT_TRUE(loaded.ok());
   ASSERT_EQ(loaded->size(), 1u);
@@ -212,13 +214,13 @@ TEST_F(IncidentLogIoTest, NoteWithTabsIsSanitized) {
   Incident incident = MakeIncident(0);
   incident.note = "line one\tline\ntwo";
   log.Add(incident);
-  ASSERT_TRUE(SaveIncidents(path_, log, IncidentFileFormat::kText).ok());
+  ASSERT_TRUE(SaveIncidentsText(path_, log).ok());
   const auto loaded = LoadIncidents(path_);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->incidents()[0].note, "line one line two");
 }
 
-// --- binary (default) format -----------------------------------------------
+// --- binary format (the only one SaveIncidents writes) ---------------------
 
 TEST_F(IncidentLogIoTest, BinaryAcceptsSeparatorNamesAndTabbedNotes) {
   // The binary encoding has no in-band separators, so names and notes the
@@ -288,7 +290,7 @@ TEST_F(IncidentLogIoTest, TextArchiveStillLoadsUnderBinaryDefault) {
   // after the default switched to binary.
   IncidentLog log;
   log.Add(MakeIncident(kMicrosPerMinute));
-  ASSERT_TRUE(SaveIncidents(path_, log, IncidentFileFormat::kText).ok());
+  ASSERT_TRUE(SaveIncidentsText(path_, log).ok());
   const auto loaded = LoadIncidents(path_);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->size(), 1u);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/testing/forensics_oracle.h"
+
 namespace cpi2 {
 namespace {
 
@@ -95,10 +97,6 @@ TEST_F(IncidentLogTest, TopAntagonistsHonorsK) {
 }
 
 TEST_F(IncidentLogTest, LegacyScanPathMatchesOnFixtureQueries) {
-  IncidentLog legacy(/*legacy_scan_path=*/true);
-  for (const Incident& incident : log_.incidents()) {
-    legacy.Add(incident);
-  }
   const std::vector<IncidentLog::Query> queries = [] {
     std::vector<IncidentLog::Query> qs(5);
     qs[1].victim_job = "search";
@@ -109,25 +107,7 @@ TEST_F(IncidentLogTest, LegacyScanPathMatchesOnFixtureQueries) {
     qs[4].capped_only = true;
     return qs;
   }();
-  for (const IncidentLog::Query& query : queries) {
-    const auto fast = log_.Select(query);
-    const auto scan = legacy.Select(query);
-    ASSERT_EQ(fast.size(), scan.size());
-    for (size_t i = 0; i < fast.size(); ++i) {
-      EXPECT_EQ(fast[i]->timestamp, scan[i]->timestamp);
-      EXPECT_EQ(fast[i]->victim_job, scan[i]->victim_job);
-    }
-  }
-  const auto fast_top = log_.TopAntagonists("", 0, 0, 10);
-  const auto scan_top = legacy.TopAntagonists("", 0, 0, 10);
-  ASSERT_EQ(fast_top.size(), scan_top.size());
-  for (size_t i = 0; i < fast_top.size(); ++i) {
-    EXPECT_EQ(fast_top[i].jobname, scan_top[i].jobname);
-    EXPECT_EQ(fast_top[i].incidents, scan_top[i].incidents);
-    EXPECT_EQ(fast_top[i].times_capped, scan_top[i].times_capped);
-    EXPECT_EQ(fast_top[i].max_correlation, scan_top[i].max_correlation);
-    EXPECT_EQ(fast_top[i].mean_correlation, scan_top[i].mean_correlation);
-  }
+  EXPECT_EQ(ForensicsOracleMismatch(log_, queries), "");
 }
 
 TEST_F(IncidentLogTest, OutOfOrderTimestampsStillFilterCorrectly) {

@@ -31,9 +31,12 @@ TEST(ParamsTest, TableRendersAllRows) {
   for (const char* needle :
        {"Sampling duration", "10 seconds", "every 1 minutes", "job x CPU type",
         "24 hours", "0.25 CPU-sec/sec", "2 sigma", "3 violations in 5 minutes", "0.35",
-        "0.10 CPU-sec/sec", "0.01 CPU-sec/sec", "5 minutes"}) {
+        "0.10 CPU-sec/sec", "0.01 CPU-sec/sec", "5 minutes", "Wire batch max samples",
+        "flush every tick"}) {
     EXPECT_NE(table.find(needle), std::string::npos) << "missing: " << needle;
   }
+  // One sample transport exists, so the table no longer names a choice.
+  EXPECT_EQ(table.find("Sample transport"), std::string::npos);
 }
 
 TEST(TypesTest, EnumNames) {

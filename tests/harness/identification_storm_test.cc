@@ -4,12 +4,12 @@
 // (params.analysis_interval = 0), every co-anomalous victim on a machine is
 // analyzed within the SAME sampling period. The batched engine then
 // re-scores victim after victim against ONE persistent suspect table and
-// ONE scratch — the exact
-// steady state DESIGN.md §17 promises allocates nothing — while the legacy
-// per-suspect path rebuilds its SuspectInput vector per victim. The two
-// must agree bit for bit, clean and under an active fault plane (agent
-// crash/restart wipes the table mid-storm, counter glitches feed garbage
-// series into the analyses), at every thread count.
+// ONE scratch — the exact steady state DESIGN.md §17 promises allocates
+// nothing. The storm must replay bit for bit at every thread count, clean
+// and under an active fault plane (agent crash/restart wipes the table
+// mid-storm, counter glitches feed garbage series into the analyses). The
+// rankings themselves are checked against the per-suspect reference at
+// incident time by AgentTest.IncidentRankingsMatchReferenceAcrossChurnAndRestart.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "harness/cluster_harness.h"
+#include "tests/testing/forensics_oracle.h"
 #include "tests/testing/scenario.h"
 #include "util/string_util.h"
 #include "workload/profiles.h"
@@ -44,20 +45,9 @@ struct StormResult {
   std::string machine_state;
   std::string health;
   std::string forensics;
+  // Empty when the columnar forensics index agreed with the reference scans.
+  std::string forensics_oracle_mismatch;
 };
-
-std::string Serialize(const Incident& incident) {
-  std::string out =
-      StrFormat("t=%lld m=%s victim=%s cpi=%.17g thr=%.17g action=%d target=%s cap=%.17g",
-                static_cast<long long>(incident.timestamp), incident.machine.c_str(),
-                incident.victim_task.c_str(), incident.victim_cpi, incident.cpi_threshold,
-                static_cast<int>(incident.action), incident.action_target.c_str(),
-                incident.cap_level);
-  for (const Suspect& suspect : incident.suspects) {
-    out += StrFormat(" %s:%.17g", suspect.task.c_str(), suspect.correlation);
-  }
-  return out;
-}
 
 // Agent crashes and counter glitches only: the two fault classes that stress
 // the suspect table hardest (restart invalidates every interned row; glitches
@@ -100,7 +90,7 @@ std::string SerializeForensics(const IncidentLog& log) {
 // them after priming. When the antagonist fires, all five co-resident
 // victims go anomalous within the same sampling period, and with the rate
 // limiter off every one of those anomalies runs a full identification pass.
-StormResult RunStorm(int threads, bool legacy_identification, bool with_faults) {
+StormResult RunStorm(int threads, bool with_faults) {
   ClusterHarness::Options options;
   options.cluster.seed = 11;
   options.cluster.threads = threads;
@@ -111,7 +101,6 @@ StormResult RunStorm(int threads, bool legacy_identification, bool with_faults) 
   // incident per tick. Uncapped, every already-anomalous victim re-confirms
   // on each sampling tick — a sustained same-tick multi-victim storm.
   options.params.enforcement_enabled = false;
-  options.params.legacy_identification_path = legacy_identification;
   if (with_faults) {
     options.params.spec_staleness_ttl = 5 * kMicrosPerMinute;
     options.faults = StormFaults();
@@ -139,27 +128,24 @@ StormResult RunStorm(int threads, bool legacy_identification, bool with_faults) 
 
   StormResult result;
   result.samples_collected = harness.samples_collected();
+  result.machine_state = SerializeMachineState(harness.cluster());
   for (Machine* machine : harness.cluster().machines()) {
     Agent* agent = harness.agent(machine->name());
     result.outliers += agent->outliers_flagged();
     result.anomalies += agent->anomalies_detected();
     result.incidents_reported += agent->incidents_reported();
-    for (Task* task : machine->Tasks()) {
-      result.machine_state +=
-          StrFormat("%s cycles=%llu instr=%llu cpu=%.17g\n", task->name().c_str(),
-                    static_cast<unsigned long long>(task->cycles()),
-                    static_cast<unsigned long long>(task->instructions()), task->cpu_seconds());
-    }
   }
   std::map<std::pair<std::string, MicroTime>, int64_t> per_period;
   const MicroTime period = options.params.sample_period;
   for (const Incident& incident : harness.incidents().incidents()) {
-    result.incidents.push_back(Serialize(incident));
+    result.incidents.push_back(SerializeIncident(incident));
     const int64_t count = ++per_period[{incident.machine, incident.timestamp / period}];
     result.max_incidents_one_period = std::max(result.max_incidents_one_period, count);
   }
   result.health = SerializeHealth(harness.Health());
   result.forensics = SerializeForensics(harness.incidents());
+  result.forensics_oracle_mismatch = ForensicsOracleMismatch(
+      harness.incidents(), PostMortemQueries(harness.incidents(), harness.now()));
   return result;
 }
 
@@ -179,30 +165,23 @@ void ExpectSameRun(const StormResult& a, const StormResult& b, const char* label
 }
 
 TEST(IdentificationStormTest, CleanStormIsBitIdenticalAcrossEnginesAndThreads) {
-  const StormResult batched =
-      RunStorm(/*threads=*/1, /*legacy_identification=*/false, /*with_faults=*/false);
+  const StormResult batched = RunStorm(/*threads=*/1, /*with_faults=*/false);
   // The storm must actually fire: several victims analyzed in one tick, so
   // the table/scratch reuse across victims is really exercised.
   ASSERT_GT(batched.samples_collected, 0);
   ASSERT_FALSE(batched.incidents.empty());
   ASSERT_GE(batched.max_incidents_one_period, 2)
       << "scenario never produced a same-tick multi-victim storm";
+  EXPECT_EQ(batched.forensics_oracle_mismatch, "");
 
   for (const int threads : {1, 2, 4, 0}) {
-    const StormResult legacy =
-        RunStorm(threads, /*legacy_identification=*/true, /*with_faults=*/false);
-    ExpectSameRun(batched, legacy, StrFormat("legacy threads=%d", threads).c_str());
-    if (threads != 1) {
-      const StormResult parallel =
-          RunStorm(threads, /*legacy_identification=*/false, /*with_faults=*/false);
-      ExpectSameRun(batched, parallel, StrFormat("batched threads=%d", threads).c_str());
-    }
+    const StormResult rerun = RunStorm(threads, /*with_faults=*/false);
+    ExpectSameRun(batched, rerun, StrFormat("threads=%d", threads).c_str());
   }
 }
 
 TEST(IdentificationStormTest, FaultedStormIsBitIdenticalAcrossEnginesAndThreads) {
-  const StormResult batched =
-      RunStorm(/*threads=*/1, /*legacy_identification=*/false, /*with_faults=*/true);
+  const StormResult batched = RunStorm(/*threads=*/1, /*with_faults=*/true);
   ASSERT_GT(batched.samples_collected, 0);
   ASSERT_FALSE(batched.incidents.empty());
   ASSERT_GE(batched.max_incidents_one_period, 2)
@@ -212,16 +191,11 @@ TEST(IdentificationStormTest, FaultedStormIsBitIdenticalAcrossEnginesAndThreads)
   // behind the cached pointers.
   ASSERT_EQ(batched.health.find("crashes=0 "), std::string::npos) << batched.health;
   ASSERT_EQ(batched.health.find("glitches=0"), std::string::npos) << batched.health;
+  EXPECT_EQ(batched.forensics_oracle_mismatch, "");
 
   for (const int threads : {1, 2, 4, 0}) {
-    const StormResult legacy =
-        RunStorm(threads, /*legacy_identification=*/true, /*with_faults=*/true);
-    ExpectSameRun(batched, legacy, StrFormat("legacy threads=%d", threads).c_str());
-    if (threads != 1) {
-      const StormResult parallel =
-          RunStorm(threads, /*legacy_identification=*/false, /*with_faults=*/true);
-      ExpectSameRun(batched, parallel, StrFormat("batched threads=%d", threads).c_str());
-    }
+    const StormResult rerun = RunStorm(threads, /*with_faults=*/true);
+    ExpectSameRun(batched, rerun, StrFormat("threads=%d", threads).c_str());
   }
 }
 

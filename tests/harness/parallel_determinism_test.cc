@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "harness/cluster_harness.h"
+#include "tests/testing/forensics_oracle.h"
 #include "tests/testing/scenario.h"
 #include "util/string_util.h"
 #include "workload/profiles.h"
@@ -28,20 +29,9 @@ struct RunResult {
   std::string machine_state;  // per-machine counters after the run
   std::string health;         // degraded-mode counters (ClusterHealthReport)
   std::string forensics;      // post-run forensics query answers
+  // Empty when the columnar index agreed with the reference scans.
+  std::string forensics_oracle_mismatch;
 };
-
-std::string Serialize(const Incident& incident) {
-  std::string out =
-      StrFormat("t=%lld m=%s victim=%s cpi=%.17g thr=%.17g action=%d target=%s cap=%.17g",
-                static_cast<long long>(incident.timestamp), incident.machine.c_str(),
-                incident.victim_task.c_str(), incident.victim_cpi, incident.cpi_threshold,
-                static_cast<int>(incident.action), incident.action_target.c_str(),
-                incident.cap_level);
-  for (const Suspect& suspect : incident.suspects) {
-    out += StrFormat(" %s:%.17g", suspect.task.c_str(), suspect.correlation);
-  }
-  return out;
-}
 
 // Every fault class at once, rates tuned so a 15-minute, 8-machine run sees
 // several events of each kind.
@@ -121,18 +111,12 @@ std::string SerializeForensics(const IncidentLog& log, MicroTime now) {
   return out;
 }
 
-RunResult RunScenario(int threads, bool with_faults = false,
-                      bool legacy_correlation = false, int spec_shards = -1,
-                      bool legacy_forensics = false, bool legacy_wire = false,
-                      double wire_corrupt_rate = 0.0, bool legacy_identification = false) {
+RunResult RunScenario(int threads, bool with_faults = false, int spec_shards = -1,
+                      double wire_corrupt_rate = 0.0) {
   ClusterHarness::Options options;
   options.cluster.seed = 7;
   options.cluster.threads = threads;
   options.params = FastTestParams();
-  options.params.legacy_correlation_path = legacy_correlation;
-  options.params.legacy_forensics_path = legacy_forensics;
-  options.params.legacy_wire_path = legacy_wire;
-  options.params.legacy_identification_path = legacy_identification;
   if (spec_shards > 0) {
     options.params.spec_shards = spec_shards;
   }
@@ -164,20 +148,15 @@ RunResult RunScenario(int threads, bool with_faults = false,
 
   RunResult result;
   result.samples_collected = harness.samples_collected();
+  result.machine_state = SerializeMachineState(harness.cluster());
   for (Machine* machine : harness.cluster().machines()) {
     Agent* agent = harness.agent(machine->name());
     result.outliers += agent->outliers_flagged();
     result.anomalies += agent->anomalies_detected();
     result.incidents_reported += agent->incidents_reported();
-    for (Task* task : machine->Tasks()) {
-      result.machine_state +=
-          StrFormat("%s cycles=%llu instr=%llu cpu=%.17g\n", task->name().c_str(),
-                    static_cast<unsigned long long>(task->cycles()),
-                    static_cast<unsigned long long>(task->instructions()), task->cpu_seconds());
-    }
   }
   for (const Incident& incident : harness.incidents().incidents()) {
-    result.incidents.push_back(Serialize(incident));
+    result.incidents.push_back(SerializeIncident(incident));
   }
   const auto spec =
       harness.aggregator().GetSpec("websearch-leaf", ReferencePlatform().name);
@@ -189,6 +168,8 @@ RunResult RunScenario(int threads, bool with_faults = false,
   }
   result.health = SerializeHealth(harness.Health());
   result.forensics = SerializeForensics(harness.incidents(), harness.now());
+  result.forensics_oracle_mismatch = ForensicsOracleMismatch(
+      harness.incidents(), PostMortemQueries(harness.incidents(), harness.now()));
   return result;
 }
 
@@ -251,40 +232,6 @@ TEST(ParallelDeterminismTest, ActiveFaultsStayBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial.incidents, hw.incidents);
 }
 
-TEST(ParallelDeterminismTest, LegacyCorrelationPathMatchesFastPath) {
-  // The fused merge-join correlation (the default) must change nothing
-  // observable relative to the legacy AlignSeries path: same incidents,
-  // same suspect correlations to the last bit, same health counters —
-  // serial and parallel alike.
-  const RunResult fast = RunScenario(/*threads=*/1, /*with_faults=*/false,
-                                     /*legacy_correlation=*/false);
-  const RunResult legacy = RunScenario(/*threads=*/1, /*with_faults=*/false,
-                                       /*legacy_correlation=*/true);
-  // The clean scenario fires incidents, so the suspect correlations (the
-  // doubles the two paths compute differently enough to diverge if the
-  // fusion were wrong) actually appear in the comparison.
-  ASSERT_FALSE(fast.incidents.empty());
-  EXPECT_EQ(fast.samples_collected, legacy.samples_collected);
-  EXPECT_EQ(fast.outliers, legacy.outliers);
-  EXPECT_EQ(fast.anomalies, legacy.anomalies);
-  EXPECT_EQ(fast.incidents_reported, legacy.incidents_reported);
-  EXPECT_EQ(fast.victim_spec, legacy.victim_spec);
-  EXPECT_EQ(fast.machine_state, legacy.machine_state);
-  EXPECT_EQ(fast.health, legacy.health);
-  EXPECT_EQ(fast.incidents, legacy.incidents);
-
-  // Same comparison under active faults (crash/restart clears series state,
-  // counter glitches feed garbage into the analyses) and in parallel.
-  const RunResult faulted_fast = RunScenario(/*threads=*/4, /*with_faults=*/true,
-                                             /*legacy_correlation=*/false);
-  const RunResult faulted_legacy = RunScenario(/*threads=*/4, /*with_faults=*/true,
-                                               /*legacy_correlation=*/true);
-  EXPECT_EQ(faulted_fast.machine_state, faulted_legacy.machine_state);
-  EXPECT_EQ(faulted_fast.health, faulted_legacy.health);
-  EXPECT_EQ(faulted_fast.incidents, faulted_legacy.incidents);
-  EXPECT_EQ(faulted_fast.victim_spec, faulted_legacy.victim_spec);
-}
-
 TEST(ParallelDeterminismTest, SpecShardCountChangesNothingObservable) {
   // The sharded aggregation contract: specs, push order, downstream
   // incidents, health counters and fault-RNG draws are bit-identical for
@@ -292,14 +239,14 @@ TEST(ParallelDeterminismTest, SpecShardCountChangesNothingObservable) {
   // actually builds specs and fires incidents; the faulted scenario adds
   // checkpoint blobs and restores into the mix.
   const RunResult baseline = RunScenario(/*threads=*/4, /*with_faults=*/false,
-                                         /*legacy_correlation=*/false, /*spec_shards=*/1);
+                                         /*spec_shards=*/1);
   ASSERT_FALSE(baseline.victim_spec.empty());
   ASSERT_FALSE(baseline.incidents.empty());
   ASSERT_FALSE(baseline.forensics.empty());
 
   for (const int shards : {5, 8, 32}) {
     const RunResult sharded = RunScenario(/*threads=*/4, /*with_faults=*/false,
-                                          /*legacy_correlation=*/false, shards);
+                                          shards);
     EXPECT_EQ(baseline.samples_collected, sharded.samples_collected) << shards;
     EXPECT_EQ(baseline.victim_spec, sharded.victim_spec) << shards;
     EXPECT_EQ(baseline.machine_state, sharded.machine_state) << shards;
@@ -312,11 +259,11 @@ TEST(ParallelDeterminismTest, SpecShardCountChangesNothingObservable) {
   // observable must still be shard-count-invariant, and serial must match
   // parallel at a non-default shard count.
   const RunResult faulted_one = RunScenario(/*threads=*/4, /*with_faults=*/true,
-                                            /*legacy_correlation=*/false, /*spec_shards=*/1);
+                                            /*spec_shards=*/1);
   const RunResult faulted_serial = RunScenario(/*threads=*/1, /*with_faults=*/true,
-                                               /*legacy_correlation=*/false, /*spec_shards=*/5);
+                                               /*spec_shards=*/5);
   const RunResult faulted_parallel = RunScenario(/*threads=*/4, /*with_faults=*/true,
-                                                 /*legacy_correlation=*/false, /*spec_shards=*/5);
+                                                 /*spec_shards=*/5);
   EXPECT_EQ(faulted_one.machine_state, faulted_parallel.machine_state);
   EXPECT_EQ(faulted_one.health, faulted_parallel.health);
   EXPECT_EQ(faulted_one.incidents, faulted_parallel.incidents);
@@ -328,142 +275,17 @@ TEST(ParallelDeterminismTest, SpecShardCountChangesNothingObservable) {
 }
 
 TEST(ParallelDeterminismTest, LegacyForensicsPathMatchesColumnar) {
-  // Same run, queried through the columnar index (default) and the
-  // reference scan: the forensics answers must match to the last bit, and
-  // nothing upstream may notice the flag at all.
-  const RunResult fast = RunScenario(/*threads=*/4, /*with_faults=*/false,
-                                     /*legacy_correlation=*/false, /*spec_shards=*/-1,
-                                     /*legacy_forensics=*/false);
-  const RunResult legacy = RunScenario(/*threads=*/4, /*with_faults=*/false,
-                                       /*legacy_correlation=*/false, /*spec_shards=*/-1,
-                                       /*legacy_forensics=*/true);
-  // The clean scenario fires incidents, so the comparison covers real
-  // TopAntagonists rankings and a real capped-incident Select.
-  ASSERT_FALSE(fast.forensics.empty());
-  EXPECT_EQ(fast.forensics, legacy.forensics);
-  EXPECT_EQ(fast.incidents, legacy.incidents);
-  EXPECT_EQ(fast.machine_state, legacy.machine_state);
-  EXPECT_EQ(fast.health, legacy.health);
-
-  const RunResult faulted_fast = RunScenario(/*threads=*/4, /*with_faults=*/true,
-                                             /*legacy_correlation=*/false, /*spec_shards=*/-1,
-                                             /*legacy_forensics=*/false);
-  const RunResult faulted_legacy = RunScenario(/*threads=*/4, /*with_faults=*/true,
-                                               /*legacy_correlation=*/false, /*spec_shards=*/-1,
-                                               /*legacy_forensics=*/true);
-  EXPECT_EQ(faulted_fast.forensics, faulted_legacy.forensics);
-  EXPECT_EQ(faulted_fast.incidents, faulted_legacy.incidents);
-  EXPECT_EQ(faulted_fast.health, faulted_legacy.health);
-}
-
-TEST(ParallelDeterminismTest, LegacyWirePathMatchesBinary) {
-  // The batched binary transport (the default) must change nothing
-  // observable relative to the legacy per-sample text path: same specs,
-  // same incidents, same health counters, same fault-RNG draw sequence —
-  // retried batches replay the same samples through the same per-sample
-  // fault draws the legacy path would have made.
-  const RunResult binary = RunScenario(/*threads=*/1, /*with_faults=*/false,
-                                       /*legacy_correlation=*/false, /*spec_shards=*/-1,
-                                       /*legacy_forensics=*/false, /*legacy_wire=*/false);
-  const RunResult legacy = RunScenario(/*threads=*/1, /*with_faults=*/false,
-                                       /*legacy_correlation=*/false, /*spec_shards=*/-1,
-                                       /*legacy_forensics=*/false, /*legacy_wire=*/true);
-  ASSERT_GT(binary.samples_collected, 0);
-  ASSERT_FALSE(binary.incidents.empty());
-  EXPECT_EQ(binary.samples_collected, legacy.samples_collected);
-  EXPECT_EQ(binary.outliers, legacy.outliers);
-  EXPECT_EQ(binary.anomalies, legacy.anomalies);
-  EXPECT_EQ(binary.incidents_reported, legacy.incidents_reported);
-  EXPECT_EQ(binary.victim_spec, legacy.victim_spec);
-  EXPECT_EQ(binary.machine_state, legacy.machine_state);
-  EXPECT_EQ(binary.health, legacy.health);
-  EXPECT_EQ(binary.incidents, legacy.incidents);
-  EXPECT_EQ(binary.forensics, legacy.forensics);
-
-  // Under active faults the equivalence is the hard part: ack losses and
-  // aggregator outages put the two transports through retry/backoff, bursts
-  // and drop_rng_ consume per-sample draws, crashes clear the outboxes.
-  // Both transports must consume identical draw sequences — any divergence
-  // shows up in the fault counters or downstream incidents. Proven serial
-  // and at two parallel thread counts.
-  const RunResult faulted_binary = RunScenario(/*threads=*/1, /*with_faults=*/true,
-                                               /*legacy_correlation=*/false, /*spec_shards=*/-1,
-                                               /*legacy_forensics=*/false, /*legacy_wire=*/false);
-  ASSERT_EQ(faulted_binary.health.find("acks_lost=0 "), std::string::npos)
-      << faulted_binary.health;
-  for (const int threads : {1, 4, 0}) {
-    const RunResult faulted_legacy =
-        RunScenario(threads, /*with_faults=*/true,
-                    /*legacy_correlation=*/false, /*spec_shards=*/-1,
-                    /*legacy_forensics=*/false, /*legacy_wire=*/true);
-    EXPECT_EQ(faulted_binary.samples_collected, faulted_legacy.samples_collected) << threads;
-    EXPECT_EQ(faulted_binary.victim_spec, faulted_legacy.victim_spec) << threads;
-    EXPECT_EQ(faulted_binary.machine_state, faulted_legacy.machine_state) << threads;
-    EXPECT_EQ(faulted_binary.health, faulted_legacy.health) << threads;
-    EXPECT_EQ(faulted_binary.incidents, faulted_legacy.incidents) << threads;
-    EXPECT_EQ(faulted_binary.forensics, faulted_legacy.forensics) << threads;
-  }
-}
-
-TEST(ParallelDeterminismTest, BatchedIdentificationMatchesPerSuspect) {
-  // The batched one-pass identification engine (the default) must change
-  // nothing observable relative to the per-suspect fused loop: same ranked
-  // suspects with the same correlations to the last bit, same incidents,
-  // enforcement decisions and health counters. Proven clean and under full
-  // fault load, serial and at every thread count the other determinism
-  // tests use.
-  const RunResult batched = RunScenario(/*threads=*/1, /*with_faults=*/false,
-                                        /*legacy_correlation=*/false, /*spec_shards=*/-1,
-                                        /*legacy_forensics=*/false, /*legacy_wire=*/false,
-                                        /*wire_corrupt_rate=*/0.0,
-                                        /*legacy_identification=*/false);
-  // The scenario must fire real analyses so the ranked correlations (the
-  // doubles the two engines compute through different loop shapes) actually
-  // appear in the comparison.
-  ASSERT_GT(batched.samples_collected, 0);
-  ASSERT_FALSE(batched.incidents.empty());
-  ASSERT_FALSE(batched.victim_spec.empty());
-  for (const int threads : {1, 2, 4, 0}) {
-    const RunResult legacy =
-        RunScenario(threads, /*with_faults=*/false,
-                    /*legacy_correlation=*/false, /*spec_shards=*/-1,
-                    /*legacy_forensics=*/false, /*legacy_wire=*/false,
-                    /*wire_corrupt_rate=*/0.0, /*legacy_identification=*/true);
-    EXPECT_EQ(batched.samples_collected, legacy.samples_collected) << threads;
-    EXPECT_EQ(batched.outliers, legacy.outliers) << threads;
-    EXPECT_EQ(batched.anomalies, legacy.anomalies) << threads;
-    EXPECT_EQ(batched.incidents_reported, legacy.incidents_reported) << threads;
-    EXPECT_EQ(batched.victim_spec, legacy.victim_spec) << threads;
-    EXPECT_EQ(batched.machine_state, legacy.machine_state) << threads;
-    EXPECT_EQ(batched.health, legacy.health) << threads;
-    EXPECT_EQ(batched.incidents, legacy.incidents) << threads;
-    EXPECT_EQ(batched.forensics, legacy.forensics) << threads;
-  }
-
-  // Under full fault load: agent crashes clear the suspect table mid-run
-  // (membership-version invalidation), counter glitches feed garbage series
-  // into the analyses, task churn recycles names — the engines must still
-  // agree bit for bit.
-  const RunResult faulted_batched =
-      RunScenario(/*threads=*/1, /*with_faults=*/true,
-                  /*legacy_correlation=*/false, /*spec_shards=*/-1,
-                  /*legacy_forensics=*/false, /*legacy_wire=*/false,
-                  /*wire_corrupt_rate=*/0.0, /*legacy_identification=*/false);
-  ASSERT_EQ(faulted_batched.health.find("crashes=0 "), std::string::npos)
-      << faulted_batched.health;
-  for (const int threads : {1, 2, 4, 0}) {
-    const RunResult faulted_legacy =
-        RunScenario(threads, /*with_faults=*/true,
-                    /*legacy_correlation=*/false, /*spec_shards=*/-1,
-                    /*legacy_forensics=*/false, /*legacy_wire=*/false,
-                    /*wire_corrupt_rate=*/0.0, /*legacy_identification=*/true);
-    EXPECT_EQ(faulted_batched.samples_collected, faulted_legacy.samples_collected) << threads;
-    EXPECT_EQ(faulted_batched.victim_spec, faulted_legacy.victim_spec) << threads;
-    EXPECT_EQ(faulted_batched.machine_state, faulted_legacy.machine_state) << threads;
-    EXPECT_EQ(faulted_batched.health, faulted_legacy.health) << threads;
-    EXPECT_EQ(faulted_batched.incidents, faulted_legacy.incidents) << threads;
-    EXPECT_EQ(faulted_batched.forensics, faulted_legacy.forensics) << threads;
-  }
+  // The columnar forensics index must answer exactly as the reference scans
+  // (SelectLegacy, TopAntagonistsLegacy) over a query mix by job, machine
+  // and time window, on the incident log of a clean run and of a run under
+  // full fault load. (The staleness policy suppresses most detection in the
+  // faulted scenario; IdentificationStormTest runs the same check on a
+  // faulted log with many incidents.)
+  const RunResult clean = RunScenario(/*threads=*/4, /*with_faults=*/false);
+  ASSERT_FALSE(clean.incidents.empty());
+  EXPECT_EQ(clean.forensics_oracle_mismatch, "");
+  const RunResult faulted = RunScenario(/*threads=*/4, /*with_faults=*/true);
+  EXPECT_EQ(faulted.forensics_oracle_mismatch, "");
 }
 
 TEST(ParallelDeterminismTest, WireCorruptionIsSurfacedAndDeterministic) {
@@ -472,18 +294,14 @@ TEST(ParallelDeterminismTest, WireCorruptionIsSurfacedAndDeterministic) {
   // side and wire_decode_errors on the agent side), never crash, and the
   // whole run must stay bit-identical across thread counts.
   const RunResult serial = RunScenario(/*threads=*/1, /*with_faults=*/true,
-                                       /*legacy_correlation=*/false, /*spec_shards=*/-1,
-                                       /*legacy_forensics=*/false, /*legacy_wire=*/false,
-                                       /*wire_corrupt_rate=*/0.05);
+                                       /*spec_shards=*/-1, /*wire_corrupt_rate=*/0.05);
   ASSERT_GT(serial.samples_collected, 0);
   // The corruption must actually fire and be surfaced through health.
   EXPECT_EQ(serial.health.find("decode_err=0 "), std::string::npos) << serial.health;
   EXPECT_EQ(serial.health.find("corrupted=0"), std::string::npos) << serial.health;
 
   const RunResult parallel = RunScenario(/*threads=*/4, /*with_faults=*/true,
-                                         /*legacy_correlation=*/false, /*spec_shards=*/-1,
-                                         /*legacy_forensics=*/false, /*legacy_wire=*/false,
-                                         /*wire_corrupt_rate=*/0.05);
+                                         /*spec_shards=*/-1, /*wire_corrupt_rate=*/0.05);
   EXPECT_EQ(serial.samples_collected, parallel.samples_collected);
   EXPECT_EQ(serial.victim_spec, parallel.victim_spec);
   EXPECT_EQ(serial.machine_state, parallel.machine_state);

@@ -46,19 +46,6 @@ struct RunResult {
   std::string health;           // counters minus pushes and tier rollups
 };
 
-std::string Serialize(const Incident& incident) {
-  std::string out =
-      StrFormat("t=%lld m=%s victim=%s cpi=%.17g thr=%.17g action=%d target=%s cap=%.17g",
-                static_cast<long long>(incident.timestamp), incident.machine.c_str(),
-                incident.victim_task.c_str(), incident.victim_cpi, incident.cpi_threshold,
-                static_cast<int>(incident.action), incident.action_target.c_str(),
-                incident.cap_level);
-  for (const Suspect& suspect : incident.suspects) {
-    out += StrFormat(" %s:%.17g", suspect.task.c_str(), suspect.correlation);
-  }
-  return out;
-}
-
 // The quantization-proof view of an incident: everything but the doubles,
 // which differ between the flat and tiered paths in the last bits of the
 // spec-derived thresholds.
@@ -171,20 +158,15 @@ RunResult RunTiered(int threads, int cells, bool with_faults) {
 
   RunResult result;
   result.samples_collected = harness.samples_collected();
+  result.machine_state = SerializeMachineState(harness.cluster());
   for (Machine* machine : harness.cluster().machines()) {
     Agent* agent = harness.agent(machine->name());
     result.outliers += agent->outliers_flagged();
     result.anomalies += agent->anomalies_detected();
     result.incidents_reported += agent->incidents_reported();
-    for (Task* task : machine->Tasks()) {
-      result.machine_state +=
-          StrFormat("%s cycles=%llu instr=%llu cpu=%.17g\n", task->name().c_str(),
-                    static_cast<unsigned long long>(task->cycles()),
-                    static_cast<unsigned long long>(task->instructions()), task->cpu_seconds());
-    }
   }
   for (const Incident& incident : harness.incidents().incidents()) {
-    result.incidents.push_back(Serialize(incident));
+    result.incidents.push_back(SerializeIncident(incident));
     result.incidents_structural.push_back(SerializeStructural(incident));
   }
   for (const char* job : kSpecJobs) {

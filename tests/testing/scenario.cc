@@ -49,4 +49,30 @@ std::string InjectAntagonist(VictimScenario& scenario, const TaskSpec& spec,
   return task_name;
 }
 
+std::string SerializeIncident(const Incident& incident) {
+  std::string out =
+      StrFormat("t=%lld m=%s victim=%s cpi=%.17g thr=%.17g action=%d target=%s cap=%.17g",
+                static_cast<long long>(incident.timestamp), incident.machine.c_str(),
+                incident.victim_task.c_str(), incident.victim_cpi, incident.cpi_threshold,
+                static_cast<int>(incident.action), incident.action_target.c_str(),
+                incident.cap_level);
+  for (const Suspect& suspect : incident.suspects) {
+    out += StrFormat(" %s:%.17g", suspect.task.c_str(), suspect.correlation);
+  }
+  return out;
+}
+
+std::string SerializeMachineState(Cluster& cluster) {
+  std::string out;
+  for (Machine* machine : cluster.machines()) {
+    for (Task* task : machine->Tasks()) {
+      out += StrFormat("%s cycles=%llu instr=%llu cpu=%.17g\n", task->name().c_str(),
+                       static_cast<unsigned long long>(task->cycles()),
+                       static_cast<unsigned long long>(task->instructions()),
+                       task->cpu_seconds());
+    }
+  }
+  return out;
+}
+
 }  // namespace cpi2

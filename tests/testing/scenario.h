@@ -43,6 +43,12 @@ VictimScenario MakeVictimScenario(int machines, const TaskSpec& victim_spec,
 std::string InjectAntagonist(VictimScenario& scenario, const TaskSpec& spec,
                              const std::string& task_name);
 
+// Exact-comparison renderings for determinism tests. SerializeIncident
+// prints every double with %.17g; SerializeMachineState prints each task's
+// cycle, instruction and CPU-time counters, machine by machine.
+std::string SerializeIncident(const Incident& incident);
+std::string SerializeMachineState(Cluster& cluster);
+
 }  // namespace cpi2
 
 #endif  // CPI2_TESTS_TESTING_SCENARIO_H_

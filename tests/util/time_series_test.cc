@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/testing/reference_correlation.h"
+
 namespace cpi2 {
 namespace {
 

@@ -105,12 +105,9 @@ int DumpIncidentFile(const std::string& contents) {
 }
 
 int DumpCheckpoint(const std::string& contents) {
-  // Round the binary checkpoint through an aggregator configured for the
-  // text encoding: the v2 text checkpoint of the restored state is the
-  // human-readable rendering, bit-identical in content by construction.
-  Cpi2Params params;
-  params.legacy_wire_path = true;
-  Aggregator aggregator(params);
+  // Restore the binary checkpoint, then render the restored state as a v2
+  // text checkpoint: the human-readable form, bit-identical in content.
+  Aggregator aggregator(Cpi2Params{});
   const Status status = aggregator.Restore(contents);
   if (!status.ok()) {
     std::fprintf(stderr, "undecodable checkpoint: %s\n", status.ToString().c_str());
@@ -122,7 +119,7 @@ int DumpCheckpoint(const std::string& contents) {
     return 0;
   }
   std::printf("aggregator checkpoint (binary v3, %zu bytes) as text:\n%s",
-              contents.size(), aggregator.Checkpoint().c_str());
+              contents.size(), aggregator.CheckpointText().c_str());
   return 0;
 }
 
