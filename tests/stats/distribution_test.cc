@@ -45,6 +45,11 @@ struct DistCase {
   double support_hi;  // where Cdf should be ~1
 };
 
+// Names each case by its distribution, e.g. "Normal(0, 1)". Without this
+// gtest prints the struct's raw bytes, heap pointer included, and ctest's
+// test names would change with every build.
+void PrintTo(const DistCase& c, std::ostream* os) { *os << c.dist->ToString(); }
+
 class DistributionPropertyTest : public ::testing::TestWithParam<DistCase> {};
 
 TEST_P(DistributionPropertyTest, CdfIsMonotoneFromZeroToOne) {
