@@ -9,14 +9,22 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <cstdio>
 #include <fstream>
+#include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/aggregator.h"
+#include "core/cell_aggregator.h"
 #include "core/incident_log_io.h"
 #include "core/params.h"
 #include "net/frame.h"
+#include "util/string_util.h"
+#include "wire/framing.h"
+#include "wire/wire_codec.h"
 #include "wire/sketch_codec.h"
 
 namespace cpi2 {
@@ -142,6 +150,353 @@ TEST_F(GoldenCompatTest, LegacyRestoreRewritesToCurrentDefaultEncoding) {
   ASSERT_TRUE(again.LoadCheckpoint(rewritten_path).ok());
   EXPECT_EQ(again.Checkpoint(), aggregator.Checkpoint());
 }
+
+// ---------------------------------------------------------------------------
+// Binary aggregator checkpoints, byte-frozen: CPAGCKP3 (flat Aggregator) and
+// CPI2HAG1 (HierarchicalAggregator). Both come from the same small
+// deterministic state: two builds over three jobs, so the blobs hold a
+// dedup window, age-weighted history, specs and (tiered) per-spec versions.
+
+Cpi2Params GoldenAggregationParams() {
+  Cpi2Params params;
+  params.sample_dedup_window = kMicrosPerMinute;
+  params.min_tasks_for_spec = 2;
+  params.min_samples_per_task = 1;
+  params.spec_shards = 5;
+  params.aggregation_cells = 2;
+  return params;
+}
+
+// The golden sample stream; `add(cell, sample)` feeds either aggregator and
+// `build(now)` closes a window. Build 1 makes websearch and bigtable
+// eligible; build 2 rebuilds websearch only and gives video (one task)
+// history but no spec. The trailing samples, one of them a replay, leave
+// entries in the dedup window and in the (uncheckpointed) open window.
+template <typename Add, typename Build>
+void FeedGoldenStream(Add add, Build build) {
+  const auto sample = [](const char* job, int task, MicroTime t, double cpi) {
+    CpiSample s;
+    s.jobname = job;
+    s.platforminfo = "xeon";
+    s.task = StrFormat("%s.%d", job, task);
+    s.machine = StrFormat("m%d", task);
+    s.timestamp = t;
+    s.cpi = cpi;
+    s.cpu_usage = 0.25 + 0.125 * task;
+    return s;
+  };
+  for (int task = 0; task < 2; ++task) {
+    add(task, sample("websearch", task, (1 + task) * kMicrosPerMinute, 1.5 + 0.25 * task));
+    add(task, sample("websearch", task, (3 + task) * kMicrosPerMinute, 1.75));
+    add(task, sample("bigtable", task, (2 + task) * kMicrosPerMinute, 2.5 - 0.5 * task));
+  }
+  build(10 * kMicrosPerMinute);
+  for (int task = 0; task < 2; ++task) {
+    add(task, sample("websearch", task, (11 + task) * kMicrosPerMinute, 1.25 + 0.5 * task));
+  }
+  add(1, sample("video", 1, 12 * kMicrosPerMinute, 3.0));
+  build(20 * kMicrosPerMinute);
+  add(0, sample("websearch", 0, 21 * kMicrosPerMinute, 1.5));
+  add(1, sample("bigtable", 1, 21 * kMicrosPerMinute + kMicrosPerSecond, 2.0));
+  add(1, sample("bigtable", 1, 21 * kMicrosPerMinute + kMicrosPerSecond, 2.0));  // replay
+}
+
+Aggregator GoldenFlatAggregator() {
+  Aggregator aggregator(GoldenAggregationParams());
+  FeedGoldenStream([&](size_t, const CpiSample& s) { aggregator.AddSample(s); },
+                   [&](MicroTime now) { (void)aggregator.ForceBuild(now); });
+  return aggregator;
+}
+
+std::unique_ptr<HierarchicalAggregator> GoldenTieredAggregator() {
+  auto aggregator = std::make_unique<HierarchicalAggregator>(GoldenAggregationParams());
+  FeedGoldenStream([&](size_t cell, const CpiSample& s) { aggregator->AddSample(cell, s); },
+                   [&](MicroTime now) { (void)aggregator->ForceBuild(now); });
+  return aggregator;
+}
+
+// Written by GoldenFlatAggregator().Checkpoint(): M, W, one D record, then
+// one shard's H+S, another's H only, a third's H+S (spec_shards = 5).
+constexpr char kFlatCheckpointHex[] =
+    "43504147434b5033084d80b0b4f808020bfc8b0448065780d5cab209dd073233"
+    "2c4404026d300b7765627365617263682e30026d310a6269677461626c652e31"
+    "02000180ccd0b109020380897a9318b600314801097765627365617263680478"
+    "656f6e6666666666661640dbb66ddbb6edf93ff88aaff88a2fcb3f0000000000"
+    "00d43ff99773832a5301097765627365617263680478656f6e05000000000000"
+    "d43fdbb66ddbb6edf93fc46d21910881cb3ff840d47c2d480105766964656f04"
+    "78656f6e000000000000f03f0000000000000840000000000000000000000000"
+    "0000d83fc915dc2e304801086269677461626c650478656f6ecdccccccccccfc"
+    "3f0000000000000240cdccccccccccbc3f000000000000d43ff54cb45d295301"
+    "086269677461626c650478656f6e02000000000000d43f0000000000000240cd"
+    "3b7f669ea0d63f9147551a";
+// Written by GoldenTieredAggregator()->Checkpoint(): the same records as one
+// H and one S record, each spec trailed by its build version (bigtable 1,
+// websearch 2).
+constexpr char kTieredCheckpointHex[] =
+    "4350493248414731084d80b0b4f808020bfc8b0448065780d5cab209dd073233"
+    "2c4404026d300b7765627365617263682e30026d310a6269677461626c652e31"
+    "02000180ccd0b109020380897a9318b6008a014803086269677461626c650478"
+    "656f6ecdccccccccccfc3f0000000000000240cdccccccccccbc3f0000000000"
+    "00d43f05766964656f0478656f6e000000000000f03f00000000000008400000"
+    "000000000000000000000000d83f097765627365617263680478656f6e666666"
+    "6666661640dbb66ddbb6edf93ff88aaff88a2fcb3f000000000000d43fc10e61"
+    "dc535302086269677461626c650478656f6e02000000000000d43f0000000000"
+    "000240cd3b7f669ea0d63f01097765627365617263680478656f6e0500000000"
+    "0000d43fdbb66ddbb6edf93fc46d21910881cb3f020d822782";
+
+std::string FromHex(std::string_view hex) {
+  std::string bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(static_cast<char>(std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return bytes;
+}
+
+// The globally name-sorted spec state, every double bit-exact (%a). Shard
+// placement follows interner ids, which a restore assigns afresh, so the
+// restored flat builder is compared by content, not by record order.
+std::string DescribeSpecState(const SpecBuilder& builder) {
+  std::string out;
+  for (const SpecBuilder::HistoryEntry& entry : builder.SnapshotHistory()) {
+    out += StrFormat("H %s %s %a %a %a %a\n", entry.key.jobname.c_str(),
+                     entry.key.platforminfo.c_str(), entry.count, entry.mean, entry.m2,
+                     entry.usage_mean);
+  }
+  for (const CpiSpec& spec : builder.SnapshotLatestSpecs()) {
+    out += StrFormat("S %s %s %lld %a %a %a\n", spec.jobname.c_str(), spec.platforminfo.c_str(),
+                     static_cast<long long>(spec.num_samples), spec.cpu_usage_mean,
+                     spec.cpi_mean, spec.cpi_stddev);
+  }
+  return out;
+}
+
+// The golden stream's last sample, which the checkpointed dedup window holds.
+CpiSample GoldenReplay() {
+  CpiSample replay;
+  replay.jobname = "bigtable";
+  replay.platforminfo = "xeon";
+  replay.task = "bigtable.1";
+  replay.machine = "m1";
+  replay.timestamp = 21 * kMicrosPerMinute + kMicrosPerSecond;
+  replay.cpi = 2.0;
+  return replay;
+}
+
+TEST_F(GoldenCompatTest, TodaysFlatAggregatorStillWritesGoldenCheckpoint) {
+  const Aggregator aggregator = GoldenFlatAggregator();
+  EXPECT_EQ(aggregator.duplicates_dropped(), 1);
+  EXPECT_EQ(aggregator.Checkpoint(), FromHex(kFlatCheckpointHex));
+}
+
+TEST_F(GoldenCompatTest, GoldenFlatCheckpointRestoresExactly) {
+  const std::string golden = FromHex(kFlatCheckpointHex);
+  Aggregator live = GoldenFlatAggregator();
+  Aggregator restored(GoldenAggregationParams());
+  ASSERT_TRUE(restored.Restore(golden).ok());
+  EXPECT_EQ(restored.builds_completed(), 2);
+  EXPECT_EQ(restored.builder().samples_seen(), 11);
+  EXPECT_EQ(DescribeSpecState(restored.builder()), DescribeSpecState(live.builder()));
+  // Restored into an aggregator whose interner already placed every key,
+  // the state re-checkpoints to the golden bytes.
+  ASSERT_TRUE(live.Restore(golden).ok());
+  EXPECT_EQ(live.Checkpoint(), golden);
+  // The dedup window came back: the replay is absorbed.
+  restored.AddSample(GoldenReplay());
+  EXPECT_EQ(restored.duplicates_dropped(), 1);
+  EXPECT_EQ(restored.builder().samples_seen(), 11);
+}
+
+TEST_F(GoldenCompatTest, TodaysTieredAggregatorStillWritesGoldenCheckpoint) {
+  const auto aggregator = GoldenTieredAggregator();
+  EXPECT_EQ(aggregator->duplicates_dropped(), 1);
+  EXPECT_EQ(aggregator->Checkpoint(), FromHex(kTieredCheckpointHex));
+}
+
+TEST_F(GoldenCompatTest, GoldenTieredCheckpointRestoresExactly) {
+  const std::string golden = FromHex(kTieredCheckpointHex);
+  HierarchicalAggregator restored(GoldenAggregationParams());
+  ASSERT_TRUE(restored.Restore(golden).ok());
+  EXPECT_EQ(restored.Checkpoint(), golden);
+  EXPECT_EQ(restored.builds_completed(), 2);
+  EXPECT_EQ(restored.samples_seen(), 11);
+  const auto websearch = restored.LatestSpec("websearch", "xeon");
+  const auto bigtable = restored.LatestSpec("bigtable", "xeon");
+  ASSERT_TRUE(websearch.has_value());
+  ASSERT_TRUE(bigtable.has_value());
+  EXPECT_EQ(websearch->version, 2u);
+  EXPECT_EQ(bigtable->version, 1u);
+  EXPECT_FALSE(restored.LatestSpec("video", "xeon").has_value());
+  restored.AddSample(0, GoldenReplay());
+  EXPECT_EQ(restored.duplicates_dropped(), 1);
+  EXPECT_EQ(restored.samples_seen(), 11);
+}
+
+// ---------------------------------------------------------------------------
+// Corruption sweep over the binary checkpoint decoder, once per magic. Every
+// damaged blob must be rejected and must leave the target untouched: its
+// checkpoint bytes and build count are compared before and after.
+
+enum class CheckpointKind { kFlat, kTiered };
+
+// One restore target per format, behind a uniform face. The target holds a
+// state unlike the golden one (a third build), so a damaged blob that
+// half-applied would show.
+class CheckpointTarget {
+ public:
+  explicit CheckpointTarget(CheckpointKind kind) {
+    if (kind == CheckpointKind::kFlat) {
+      flat_ = std::make_unique<Aggregator>(GoldenFlatAggregator());
+      (void)flat_->ForceBuild(30 * kMicrosPerMinute);
+    } else {
+      tiered_ = GoldenTieredAggregator();
+      (void)tiered_->ForceBuild(30 * kMicrosPerMinute);
+    }
+  }
+  Status Restore(const std::string& blob) {
+    return flat_ ? flat_->Restore(blob) : tiered_->Restore(blob);
+  }
+  std::string Checkpoint() const { return flat_ ? flat_->Checkpoint() : tiered_->Checkpoint(); }
+  int64_t builds_completed() const {
+    return flat_ ? flat_->builds_completed() : tiered_->builds_completed();
+  }
+
+ private:
+  std::unique_ptr<Aggregator> flat_;
+  std::unique_ptr<HierarchicalAggregator> tiered_;
+};
+
+class CheckpointCorruptionTest : public ::testing::TestWithParam<CheckpointKind> {
+ protected:
+  CheckpointCorruptionTest()
+      : golden_(FromHex(GetParam() == CheckpointKind::kFlat ? kFlatCheckpointHex
+                                                            : kTieredCheckpointHex)),
+        target_(GetParam()),
+        before_(target_.Checkpoint()),
+        builds_before_(target_.builds_completed()) {}
+
+  // Feeds `blob` to the target; true when it was rejected and the target's
+  // state is exactly as before.
+  ::testing::AssertionResult RejectedUntouched(const std::string& blob) {
+    const Status status = target_.Restore(blob);
+    if (status.ok()) {
+      return ::testing::AssertionFailure() << "damaged blob restored";
+    }
+    if (target_.builds_completed() != builds_before_ || target_.Checkpoint() != before_) {
+      return ::testing::AssertionFailure() << "rejected blob changed state: " << status.ToString();
+    }
+    return ::testing::AssertionSuccess();
+  }
+
+  // The golden magic plus a valid metadata record: the prefix every crafted
+  // record is appended to.
+  std::string MagicAndMeta() const {
+    std::string blob = golden_.substr(0, kWireMagicSize);
+    std::string payload;
+    WireWriter meta(&payload);
+    meta.PutByte('M');
+    meta.PutZigzag(kMicrosPerMinute);
+    meta.PutVarint(1);
+    meta.PutVarint(1);
+    AppendFramedRecord(&blob, payload);
+    return blob;
+  }
+
+  // Offsets at which a framed record ends (the first is the magic's end).
+  std::vector<size_t> RecordBoundaries() const {
+    std::vector<size_t> boundaries = {kWireMagicSize};
+    WireReader reader(std::string_view(golden_).substr(kWireMagicSize));
+    std::string_view payload;
+    while (ReadFramedRecord(reader, &payload) == FrameResult::kRecord) {
+      boundaries.push_back(golden_.size() - reader.remaining());
+    }
+    return boundaries;
+  }
+
+  const std::string golden_;
+  CheckpointTarget target_;
+  const std::string before_;
+  const int64_t builds_before_;
+};
+
+TEST_P(CheckpointCorruptionTest, GoldenBlobRestores) {
+  CheckpointTarget fresh(GetParam());
+  EXPECT_TRUE(fresh.Restore(golden_).ok());
+}
+
+TEST_P(CheckpointCorruptionTest, EveryTruncationInsideARecordIsRejected) {
+  const std::vector<size_t> boundaries = RecordBoundaries();
+  ASSERT_EQ(boundaries.back(), golden_.size());
+  for (size_t length = 0; length < golden_.size(); ++length) {
+    if (length > kWireMagicSize &&
+        std::find(boundaries.begin(), boundaries.end(), length) != boundaries.end()) {
+      // A cut between records leaves a well-formed checkpoint holding fewer
+      // records; the format has no end record to tell it from a whole one.
+      continue;
+    }
+    EXPECT_TRUE(RejectedUntouched(golden_.substr(0, length))) << "length " << length;
+  }
+}
+
+TEST_P(CheckpointCorruptionTest, EverySingleBitFlipIsRejected) {
+  for (size_t byte = 0; byte < golden_.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string damaged = golden_;
+      damaged[byte] = static_cast<char>(damaged[byte] ^ (1 << bit));
+      EXPECT_TRUE(RejectedUntouched(damaged)) << "byte " << byte << " bit " << bit;
+    }
+  }
+}
+
+TEST_P(CheckpointCorruptionTest, CrcValidCraftedRecordsAreRejected) {
+  const auto with_record = [&](const std::function<void(WireWriter&)>& fill) {
+    std::string payload;
+    WireWriter record(&payload);
+    fill(record);
+    std::string blob = MagicAndMeta();
+    AppendFramedRecord(&blob, payload);
+    return blob;
+  };
+  ASSERT_TRUE(CheckpointTarget(GetParam()).Restore(MagicAndMeta()).ok());
+
+  // A dedup entry naming dictionary slot 3 of a one-name dictionary.
+  EXPECT_TRUE(RejectedUntouched(with_record([](WireWriter& w) {
+    w.PutByte('D');
+    w.PutVarint(1);
+    w.PutString("m0");
+    w.PutVarint(1);
+    w.PutVarint(3);
+    w.PutVarint(0);
+    w.PutZigzag(kMicrosPerMinute);
+  })));
+  // A history count far larger than the bytes left in the record.
+  EXPECT_TRUE(RejectedUntouched(with_record([](WireWriter& w) {
+    w.PutByte('H');
+    w.PutVarint(1000);
+    w.PutString("job");
+  })));
+  // A tag no writer emits.
+  EXPECT_TRUE(RejectedUntouched(with_record([](WireWriter& w) {
+    w.PutByte('Z');
+    w.PutVarint(0);
+  })));
+  // Records that end before their fields do: a watermark with no value and
+  // a spec cut after its name.
+  EXPECT_TRUE(RejectedUntouched(with_record([](WireWriter& w) { w.PutByte('W'); })));
+  EXPECT_TRUE(RejectedUntouched(with_record([](WireWriter& w) {
+    w.PutByte('S');
+    w.PutVarint(1);
+    w.PutString("job");
+    w.PutString("xeon");
+  })));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Formats, CheckpointCorruptionTest,
+    ::testing::Values(CheckpointKind::kFlat, CheckpointKind::kTiered),
+    [](const ::testing::TestParamInfo<CheckpointKind>& info) {
+      return info.param == CheckpointKind::kFlat ? std::string("CPAGCKP3")
+                                                 : std::string("CPI2HAG1");
+    });
 
 // ---------------------------------------------------------------------------
 // CPI2NET1 control frames, byte-frozen at protocol version 1. These are the
