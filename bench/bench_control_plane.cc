@@ -14,9 +14,11 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench/common/report.h"
+#include "core/aggregator.h"
 #include "core/spec_builder.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -117,10 +119,12 @@ double MeasureRounds(const Cpi2Params& params, const SampleStream& stream, Threa
   return elapsed > 0.0 ? static_cast<double>(reps) * stream.samples.size() / elapsed : 0.0;
 }
 
-// Checkpoint writes per wall second through the streaming writer. `mutate`
-// dirties one key between writes, so the cold variant re-serializes (at
-// least) that shard every time while warm replays every cached blob.
-double MeasureCheckpoints(SpecBuilder& builder, bool mutate, int min_reps, double min_seconds) {
+// Checkpoint writes per wall second through Aggregator::WriteCheckpoint,
+// the production streaming writer. `mutate` dirties one key and rebuilds
+// between writes, so the cold variant re-serializes every shard the build
+// touched while warm replays every cached shard blob.
+double MeasureCheckpoints(Aggregator& aggregator, bool mutate, int min_reps,
+                          double min_seconds) {
   CpiSample sample;
   sample.jobname = "job.0";
   sample.platforminfo = "platform.0";
@@ -128,38 +132,16 @@ double MeasureCheckpoints(SpecBuilder& builder, bool mutate, int min_reps, doubl
   sample.cpi = 2.0;
   sample.cpu_usage = 0.5;
 
-  // Mirror Aggregator::WriteCheckpoint's shard loop: reuse a shard's cached
-  // blob unless its version moved.
-  std::vector<std::string> cache(builder.shard_count());
-  std::vector<uint64_t> cached_version(builder.shard_count(), 0);
   int reps = 0;
   const auto start = std::chrono::steady_clock::now();
   double elapsed = 0.0;
   do {
     if (mutate) {
-      builder.AddSample(sample);
-      (void)builder.BuildSpecs();
+      aggregator.builder().AddSample(sample);
+      (void)aggregator.builder().BuildSpecs();
     }
     size_t bytes = 0;
-    for (size_t shard = 0; shard < builder.shard_count(); ++shard) {
-      if (cached_version[shard] != builder.shard_version(shard)) {
-        std::string& blob = cache[shard];
-        blob.clear();
-        for (const SpecBuilder::HistoryEntry& entry : builder.SnapshotShardHistory(shard)) {
-          blob += StrFormat("H\t%s\t%s\t%.17g\t%.17g\t%.17g\t%.17g\n",
-                            entry.key.jobname.c_str(), entry.key.platforminfo.c_str(),
-                            entry.count, entry.mean, entry.m2, entry.usage_mean);
-        }
-        for (const CpiSpec& spec : builder.SnapshotShardLatestSpecs(shard)) {
-          blob += StrFormat("S\t%s\t%s\t%lld\t%.17g\t%.17g\t%.17g\n", spec.jobname.c_str(),
-                            spec.platforminfo.c_str(),
-                            static_cast<long long>(spec.num_samples), spec.cpu_usage_mean,
-                            spec.cpi_mean, spec.cpi_stddev);
-        }
-        cached_version[shard] = builder.shard_version(shard);
-      }
-      bytes += cache[shard].size();
-    }
+    aggregator.WriteCheckpoint([&bytes](std::string_view chunk) { bytes += chunk.size(); });
     volatile size_t sink = bytes;
     (void)sink;
     ++reps;
@@ -211,11 +193,11 @@ int Main(bool smoke) {
   PrintResult("ingest_build_speedup", speedup);
 
   // Checkpoint cost: cold (state keeps changing) vs warm (cached blobs).
-  SpecBuilder ckpt_builder(sharded_params);
-  (void)RunRound(ckpt_builder, stream, &pool, samples_per_key);
-  const double cold_per_sec = MeasureCheckpoints(ckpt_builder, /*mutate=*/true, min_reps,
+  Aggregator ckpt_aggregator(sharded_params);
+  (void)RunRound(ckpt_aggregator.builder(), stream, &pool, samples_per_key);
+  const double cold_per_sec = MeasureCheckpoints(ckpt_aggregator, /*mutate=*/true, min_reps,
                                                  smoke ? 0.0 : 0.25);
-  const double warm_per_sec = MeasureCheckpoints(ckpt_builder, /*mutate=*/false, min_reps,
+  const double warm_per_sec = MeasureCheckpoints(ckpt_aggregator, /*mutate=*/false, min_reps,
                                                  smoke ? 0.0 : 0.25);
   const double warm_speedup = cold_per_sec > 0.0 ? warm_per_sec / cold_per_sec : 0.0;
   PrintResult("checkpoint_cold_per_sec", cold_per_sec);

@@ -15,17 +15,18 @@
 // Degraded-mode hardening:
 //  - Checkpoint/restore: the spec state (age-weighted history, latest
 //    specs, build clock) and the dedup state serialize to a framed binary
-//    blob (v3; text v1/v2 blobs still load), so a restarted aggregator
-//    resumes from its last checkpoint instead of forgetting a day of
-//    history. Samples
-//    accumulated since the checkpoint are lost — the loss is bounded by the
-//    checkpoint interval. The writer streams shard by shard and reuses each
-//    shard's cached serialization until its state changes, so steady-state
-//    checkpoints between builds cost O(dedup window), not O(total jobs).
-//  - Duplicate-sample idempotence: when sample_dedup_window > 0, a
-//    (machine, task, timestamp) triple seen twice within the window is
-//    dropped, so an agent retrying after a lost ack cannot double-count.
-//    The watermark and window contents persist in the checkpoint, so
+//    CPAGCKP3 blob (core/aggregator_checkpoint.h; text v1/v2 blobs still
+//    load), so a restarted aggregator resumes with its age-weighted history
+//    instead of starting over. The open accumulation window is not
+//    checkpointed: a restore loses every sample accumulated since the last
+//    build, up to one spec_update_interval (24 h by default) however often
+//    checkpoints are taken. The writer streams shard by shard and reuses
+//    each shard's cached serialization until its state changes, so
+//    steady-state checkpoints between builds cost O(dedup window), not
+//    O(total jobs).
+//  - Duplicate-sample idempotence (SampleDedup, core/dedup_window.h): when
+//    sample_dedup_window > 0 a replayed (machine, task, timestamp) triple
+//    is dropped. The watermark and window persist in the checkpoint, so
 //    duplicates replayed across a crash/restore are still absorbed.
 
 #ifndef CPI2_CORE_AGGREGATOR_H_
@@ -38,11 +39,11 @@
 #include <string_view>
 #include <vector>
 
+#include "core/aggregator_checkpoint.h"
 #include "core/dedup_window.h"
 #include "core/params.h"
 #include "core/spec_builder.h"
 #include "core/types.h"
-#include "util/interner.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -54,7 +55,8 @@ class Aggregator {
   // Receives checkpoint chunks in order; concatenation is the blob.
   using CheckpointSink = std::function<void(std::string_view)>;
 
-  explicit Aggregator(const Cpi2Params& params) : params_(params), builder_(params) {}
+  explicit Aggregator(const Cpi2Params& params)
+      : params_(params), builder_(params), dedup_(params.sample_dedup_window) {}
 
   void AddSample(const CpiSample& sample);
 
@@ -78,17 +80,17 @@ class Aggregator {
   }
 
   SpecBuilder& builder() { return builder_; }
-  int64_t builds_completed() const { return builds_completed_; }
-  int64_t duplicates_dropped() const { return duplicates_dropped_; }
+  int64_t builds_completed() const { return clock_.builds_completed; }
+  int64_t duplicates_dropped() const { return dedup_.dropped(); }
 
   // --- checkpoint/restore ---------------------------------------------------
   // Streams the checkpoint (spec history + latest specs + build clock +
   // dedup state) to `sink` chunk by chunk: header and metadata first, then
   // one chunk per builder shard, each reused from a cached serialization
   // when that shard hasn't changed since the last checkpoint. The
-  // in-progress accumulation window is intentionally excluded; see the
-  // header comment. Emits the framed binary v3 encoding; Restore also
-  // accepts the text v1/v2 encodings.
+  // in-progress accumulation window is excluded; see the header comment.
+  // Emits the framed binary v3 encoding; Restore also accepts the text
+  // v1/v2 encodings.
   void WriteCheckpoint(const CheckpointSink& sink) const;
   // Convenience wrapper materializing the streamed checkpoint as one blob.
   std::string Checkpoint() const;
@@ -112,17 +114,8 @@ class Aggregator {
   SpecBuilder builder_;
   SpecCallback callback_;
   ThreadPool* pool_ = nullptr;  // borrowed; flush/build scheduling only
-  StringInterner dedup_ids_;  // machine and task names share one id space
-  InternMemo machine_memo_;   // batches deliver one machine's samples in a row
-  InternCache task_memo_;     // tasks rotate within a machine's batch
-  MicroTime last_build_ = -1;
-  int64_t builds_completed_ = 0;
-  int64_t duplicates_dropped_ = 0;
-  // Sample identity for dedup is (timestamp, machine id, task id); the
-  // interned ids make the per-sample membership probe integer compares
-  // instead of string compares, and DedupWindow makes it allocation-free.
-  DedupWindow recent_samples_;     // only used when dedup enabled
-  MicroTime dedup_watermark_ = 0;  // newest timestamp seen
+  BuildClock clock_;
+  SampleDedup dedup_;
   // Per-shard checkpoint blob cache, keyed by the builder's shard versions.
   // Mutable: WriteCheckpoint is logically const and single-threaded (it runs
   // in the harness's serial phase).

@@ -4,156 +4,9 @@
 #include <cmath>
 #include <utility>
 
-#include "util/string_util.h"
-#include "wire/framing.h"
 #include "wire/sketch_codec.h"
 
 namespace cpi2 {
-namespace {
-
-constexpr char kHierCheckpointMagic[] = "CPI2HAG1";
-
-// Record tags, matching the flat v3 checkpoint vocabulary (aggregator.cc):
-// M = metadata, W = dedup watermark, D = dedup window entries, H = history
-// entries, S = latest specs (here with a trailing version varint).
-constexpr uint8_t kMetaTag = 'M';
-constexpr uint8_t kWatermarkTag = 'W';
-constexpr uint8_t kDedupTag = 'D';
-constexpr uint8_t kHistoryTag = 'H';
-constexpr uint8_t kSpecTag = 'S';
-
-constexpr size_t kDedupEntriesPerRecord = 2048;
-
-struct ParsedHierCheckpoint {
-  bool have_meta = false;
-  MicroTime last_build = -1;
-  int64_t builds_completed = 0;
-  int64_t samples_seen = 0;
-  MicroTime watermark = 0;
-  struct DedupEntry {
-    MicroTime timestamp = 0;
-    std::string machine;
-    std::string task;
-  };
-  std::vector<DedupEntry> dedup_entries;
-  std::vector<SpecBuilder::HistoryEntry> history;
-  std::vector<GlobalMerger::VersionedSpec> latest_specs;
-};
-
-// All-or-nothing parse, mirroring the flat checkpoint loader: any damaged
-// record rejects the blob naming the record.
-Status ParseHierCheckpoint(std::string_view checkpoint, ParsedHierCheckpoint* parsed) {
-  WireReader reader(checkpoint.substr(kWireMagicSize));
-  int record_number = 0;
-  std::string_view payload;
-  while (true) {
-    ++record_number;
-    const FrameResult frame = ReadFramedRecord(reader, &payload);
-    if (frame == FrameResult::kEnd) {
-      return Status::Ok();
-    }
-    const auto damaged = [&](const char* what) {
-      return InvalidArgumentError(
-          StrFormat("hierarchical checkpoint record %d: %s", record_number, what));
-    };
-    if (frame == FrameResult::kCorrupt) {
-      return damaged("bad CRC");
-    }
-    if (frame == FrameResult::kTruncated) {
-      return damaged("truncated");
-    }
-    WireReader record(payload);
-    const uint8_t tag = record.GetByte();
-    switch (tag) {
-      case kMetaTag:
-        parsed->last_build = record.GetZigzag();
-        parsed->builds_completed = static_cast<int64_t>(record.GetVarint());
-        parsed->samples_seen = static_cast<int64_t>(record.GetVarint());
-        parsed->have_meta = true;
-        break;
-      case kWatermarkTag:
-        parsed->watermark = record.GetZigzag();
-        break;
-      case kDedupTag: {
-        const uint64_t name_count = record.GetVarint();
-        if (record.failed() || name_count > record.remaining()) {
-          return damaged("malformed dedup dictionary");
-        }
-        std::vector<std::string_view> names(static_cast<size_t>(name_count));
-        for (auto& name : names) {
-          name = record.GetString();
-        }
-        const uint64_t entry_count = record.GetVarint();
-        if (record.failed() || entry_count > record.remaining()) {
-          return damaged("malformed dedup entries");
-        }
-        MicroTime prev = 0;
-        for (uint64_t i = 0; i < entry_count; ++i) {
-          ParsedHierCheckpoint::DedupEntry entry;
-          const uint64_t machine_idx = record.GetVarint();
-          const uint64_t task_idx = record.GetVarint();
-          entry.timestamp = prev + record.GetZigzag();
-          prev = entry.timestamp;
-          if (record.failed() || machine_idx >= names.size() || task_idx >= names.size()) {
-            return damaged("malformed dedup entries");
-          }
-          entry.machine.assign(names[static_cast<size_t>(machine_idx)]);
-          entry.task.assign(names[static_cast<size_t>(task_idx)]);
-          parsed->dedup_entries.push_back(std::move(entry));
-        }
-        break;
-      }
-      case kHistoryTag: {
-        const uint64_t entry_count = record.GetVarint();
-        if (record.failed() || entry_count > record.remaining()) {
-          return damaged("malformed history entries");
-        }
-        for (uint64_t i = 0; i < entry_count; ++i) {
-          SpecBuilder::HistoryEntry entry;
-          entry.key.jobname.assign(record.GetString());
-          entry.key.platforminfo.assign(record.GetString());
-          entry.count = record.GetDouble();
-          entry.mean = record.GetDouble();
-          entry.m2 = record.GetDouble();
-          entry.usage_mean = record.GetDouble();
-          if (record.failed()) {
-            return damaged("malformed history entries");
-          }
-          parsed->history.push_back(std::move(entry));
-        }
-        break;
-      }
-      case kSpecTag: {
-        const uint64_t spec_count = record.GetVarint();
-        if (record.failed() || spec_count > record.remaining()) {
-          return damaged("malformed spec entries");
-        }
-        for (uint64_t i = 0; i < spec_count; ++i) {
-          GlobalMerger::VersionedSpec versioned;
-          versioned.spec.jobname.assign(record.GetString());
-          versioned.spec.platforminfo.assign(record.GetString());
-          versioned.spec.num_samples = static_cast<int64_t>(record.GetVarint());
-          versioned.spec.cpu_usage_mean = record.GetDouble();
-          versioned.spec.cpi_mean = record.GetDouble();
-          versioned.spec.cpi_stddev = record.GetDouble();
-          versioned.version = record.GetVarint();
-          if (record.failed()) {
-            return damaged("malformed spec entries");
-          }
-          parsed->latest_specs.push_back(std::move(versioned));
-        }
-        break;
-      }
-      default:
-        return damaged("unknown record tag");
-    }
-    if (record.failed()) {
-      return damaged("record underran its payload");
-    }
-  }
-}
-
-}  // namespace
 
 // --- CellAggregator ---------------------------------------------------------
 
@@ -231,31 +84,6 @@ void CellAggregator::DiscardWindow() { window_.clear(); }
 // --- GlobalMerger -----------------------------------------------------------
 
 GlobalMerger::GlobalMerger(const Cpi2Params& params) : params_(params) {}
-
-void GlobalMerger::MomentHistory::Decay(double weight) {
-  count *= weight;
-  m2 *= weight;
-}
-
-void GlobalMerger::MomentHistory::Merge(double other_count, double other_mean,
-                                        double other_m2, double other_usage) {
-  if (other_count <= 0.0) {
-    return;
-  }
-  if (count <= 0.0) {
-    count = other_count;
-    mean = other_mean;
-    m2 = other_m2;
-    usage_mean = other_usage;
-    return;
-  }
-  const double total = count + other_count;
-  const double delta = other_mean - mean;
-  m2 += other_m2 + delta * delta * count * other_count / total;
-  mean += delta * other_count / total;
-  usage_mean += (other_usage - usage_mean) * other_count / total;
-  count = total;
-}
 
 Status GlobalMerger::MergeFrame(std::string_view bytes) {
   SketchFrame frame;
@@ -339,7 +167,7 @@ std::vector<CpiSpec> GlobalMerger::BuildSpecs(uint64_t version) {
   }
   std::vector<IdKey> built;
   for (auto& [key, merged] : window_) {
-    MomentHistory& history = history_[key];
+    SpecBuilder::MomentHistory& history = history_[key];
     const bool eligible_now = Eligible(merged);
     history.Merge(static_cast<double>(merged.sketch.count()), merged.sketch.cpi_mean(),
                   merged.sketch.cpi_m2(), merged.sketch.usage_mean());
@@ -395,54 +223,42 @@ std::vector<SpecBuilder::HistoryEntry> GlobalMerger::SnapshotHistory() const {
   std::vector<SpecBuilder::HistoryEntry> entries;
   entries.reserve(history_.size());
   for (const IdKey key : SortedKeys(history_)) {
-    const MomentHistory& history = history_.at(key);
-    SpecBuilder::HistoryEntry entry;
-    entry.key.jobname = names_.NameOf(JobOf(key));
-    entry.key.platforminfo = names_.NameOf(PlatformOf(key));
-    entry.count = history.count;
-    entry.mean = history.mean;
-    entry.m2 = history.m2;
-    entry.usage_mean = history.usage_mean;
-    entries.push_back(std::move(entry));
+    entries.push_back(SpecBuilder::HistoryEntry{
+        {history_.at(key)}, {names_.NameOf(JobOf(key)), names_.NameOf(PlatformOf(key))}});
   }
   return entries;
 }
 
-std::vector<GlobalMerger::VersionedSpec> GlobalMerger::SnapshotLatestSpecs() const {
-  std::vector<VersionedSpec> specs;
-  specs.reserve(latest_specs_.size());
+void GlobalMerger::SnapshotLatestSpecs(std::vector<CpiSpec>* specs,
+                                       std::vector<uint64_t>* versions) const {
   for (const IdKey key : SortedKeys(latest_specs_)) {
-    specs.push_back(latest_specs_.at(key));
+    const VersionedSpec& versioned = latest_specs_.at(key);
+    specs->push_back(versioned.spec);
+    versions->push_back(versioned.version);
   }
-  return specs;
 }
 
-void GlobalMerger::RestoreSnapshot(
-    const std::vector<SpecBuilder::HistoryEntry>& history,
-    const std::vector<VersionedSpec>& latest_specs) {
+void GlobalMerger::RestoreSnapshot(const std::vector<SpecBuilder::HistoryEntry>& history,
+                                   const std::vector<CpiSpec>& specs,
+                                   const std::vector<uint64_t>& versions) {
   history_.clear();
   latest_specs_.clear();
   window_.clear();
   for (const SpecBuilder::HistoryEntry& entry : history) {
-    const IdKey key = MakeKey(names_.Intern(entry.key.jobname),
-                              names_.Intern(entry.key.platforminfo));
-    MomentHistory& moments = history_[key];
-    moments.count = entry.count;
-    moments.mean = entry.mean;
-    moments.m2 = entry.m2;
-    moments.usage_mean = entry.usage_mean;
+    history_[MakeKey(names_.Intern(entry.key.jobname), names_.Intern(entry.key.platforminfo))] =
+        entry;
   }
-  for (const VersionedSpec& versioned : latest_specs) {
-    const IdKey key = MakeKey(names_.Intern(versioned.spec.jobname),
-                              names_.Intern(versioned.spec.platforminfo));
-    latest_specs_[key] = versioned;
+  for (size_t i = 0; i < specs.size(); ++i) {
+    const IdKey key =
+        MakeKey(names_.Intern(specs[i].jobname), names_.Intern(specs[i].platforminfo));
+    latest_specs_[key] = VersionedSpec{specs[i], versions[i]};
   }
 }
 
 // --- HierarchicalAggregator -------------------------------------------------
 
 HierarchicalAggregator::HierarchicalAggregator(const Cpi2Params& params)
-    : params_(params), merger_(params) {
+    : params_(params), merger_(params), dedup_(params.sample_dedup_window) {
   const size_t cells =
       params.aggregation_cells < 1 ? 1 : static_cast<size_t>(params.aggregation_cells);
   cells_.reserve(cells);
@@ -455,38 +271,22 @@ HierarchicalAggregator::HierarchicalAggregator(const Cpi2Params& params)
 }
 
 void HierarchicalAggregator::AddSample(size_t cell, const CpiSample& sample) {
-  // Global dedup, byte-for-byte the flat Aggregator's logic: one watermark
-  // and one window regardless of the cell partition, so the set of dropped
-  // duplicates is identical to the flat path's for the same arrival stream.
-  if (params_.sample_dedup_window > 0 && !sample.machine.empty()) {
-    if (sample.timestamp > dedup_watermark_) {
-      dedup_watermark_ = sample.timestamp;
-      recent_samples_.PruneOlderThan(dedup_watermark_ - params_.sample_dedup_window);
-    }
-    if (!recent_samples_.Insert(sample.timestamp,
-                                machine_memo_.Intern(dedup_ids_, sample.machine),
-                                task_memo_.Intern(dedup_ids_, sample.task))) {
-      ++duplicates_dropped_;
-      return;
-    }
+  if (!dedup_.Admit(sample)) {
+    return;
   }
   ++samples_seen_;
   cells_[cell % cells_.size()].AddSample(sample);
 }
 
 void HierarchicalAggregator::Tick(MicroTime now) {
-  if (last_build_ < 0) {
-    last_build_ = now;
-    return;
-  }
-  if (now - last_build_ >= params_.spec_update_interval) {
+  if (clock_.Due(now, params_.spec_update_interval)) {
     ForceBuild(now);
   }
 }
 
 std::vector<CpiSpec> HierarchicalAggregator::ForceBuild(MicroTime now) {
-  last_build_ = now;
-  ++builds_completed_;
+  clock_.RecordBuild(now);
+  const uint64_t version = static_cast<uint64_t>(clock_.builds_completed);
 
   // Frame encoding is per-cell independent work (sort + serialize), so it
   // parallelizes; the fold below is serial but order-insensitive — sketch
@@ -525,11 +325,10 @@ std::vector<CpiSpec> HierarchicalAggregator::ForceBuild(MicroTime now) {
     stalest_partial_age_ = std::max(stalest_partial_age_, age);
   }
 
-  std::vector<CpiSpec> specs =
-      merger_.BuildSpecs(static_cast<uint64_t>(builds_completed_));
+  std::vector<CpiSpec> specs = merger_.BuildSpecs(version);
   if (callback_) {
     for (const CpiSpec& spec : specs) {
-      callback_(spec, static_cast<uint64_t>(builds_completed_));
+      callback_(spec, version);
     }
   }
   return specs;
@@ -543,115 +342,26 @@ void HierarchicalAggregator::SetCellDown(size_t cell, bool down) {
 
 std::string HierarchicalAggregator::Checkpoint() const {
   std::string out;
-  AppendWireMagic(&out, kHierCheckpointMagic);
-  std::string payload;
-  const auto frame_out = [&] {
-    AppendFramedRecord(&out, payload);
-    payload.clear();
-  };
-
-  WireWriter meta(&payload);
-  meta.PutByte(kMetaTag);
-  meta.PutZigzag(last_build_);
-  meta.PutVarint(static_cast<uint64_t>(builds_completed_));
-  meta.PutVarint(static_cast<uint64_t>(samples_seen_));
-  frame_out();
-
-  WireWriter watermark(&payload);
-  watermark.PutByte(kWatermarkTag);
-  watermark.PutZigzag(dedup_watermark_);
-  frame_out();
-
-  const std::vector<DedupWindow::Entry> dedup_entries = recent_samples_.SortedEntries();
-  auto dedup_it = dedup_entries.begin();
-  while (dedup_it != dedup_entries.end()) {
-    std::unordered_map<uint32_t, uint32_t> local_ids;
-    std::string names_buf;
-    std::string entries_buf;
-    WireWriter names(&names_buf);
-    WireWriter entries(&entries_buf);
-    const auto local_index = [&](uint32_t interned) {
-      const auto [it, inserted] =
-          local_ids.try_emplace(interned, static_cast<uint32_t>(local_ids.size()));
-      if (inserted) {
-        names.PutString(dedup_ids_.NameOf(interned));
-      }
-      return it->second;
-    };
-    size_t count = 0;
-    MicroTime prev = 0;
-    for (; dedup_it != dedup_entries.end() && count < kDedupEntriesPerRecord;
-         ++dedup_it, ++count) {
-      entries.PutVarint(local_index(dedup_it->machine));
-      entries.PutVarint(local_index(dedup_it->task));
-      entries.PutZigzag(dedup_it->timestamp - prev);
-      prev = dedup_it->timestamp;
-    }
-    WireWriter record(&payload);
-    record.PutByte(kDedupTag);
-    record.PutVarint(local_ids.size());
-    payload.append(names_buf);
-    record.PutVarint(count);
-    payload.append(entries_buf);
-    frame_out();
-  }
-
-  const std::vector<SpecBuilder::HistoryEntry> history = merger_.SnapshotHistory();
-  if (!history.empty()) {
-    WireWriter record(&payload);
-    record.PutByte(kHistoryTag);
-    record.PutVarint(history.size());
-    for (const SpecBuilder::HistoryEntry& entry : history) {
-      record.PutString(entry.key.jobname);
-      record.PutString(entry.key.platforminfo);
-      record.PutDouble(entry.count);
-      record.PutDouble(entry.mean);
-      record.PutDouble(entry.m2);
-      record.PutDouble(entry.usage_mean);
-    }
-    frame_out();
-  }
-  const std::vector<GlobalMerger::VersionedSpec> specs = merger_.SnapshotLatestSpecs();
-  if (!specs.empty()) {
-    WireWriter record(&payload);
-    record.PutByte(kSpecTag);
-    record.PutVarint(specs.size());
-    for (const GlobalMerger::VersionedSpec& versioned : specs) {
-      record.PutString(versioned.spec.jobname);
-      record.PutString(versioned.spec.platforminfo);
-      record.PutVarint(static_cast<uint64_t>(versioned.spec.num_samples));
-      record.PutDouble(versioned.spec.cpu_usage_mean);
-      record.PutDouble(versioned.spec.cpi_mean);
-      record.PutDouble(versioned.spec.cpi_stddev);
-      record.PutVarint(versioned.version);
-    }
-    frame_out();
-  }
+  WriteCheckpointHead(kTieredCheckpointMagic, clock_, samples_seen_, dedup_,
+                      [&out](std::string_view chunk) { out.append(chunk); });
+  AppendHistoryRecord(merger_.SnapshotHistory(), &out);
+  std::vector<CpiSpec> specs;
+  std::vector<uint64_t> versions;
+  merger_.SnapshotLatestSpecs(&specs, &versions);
+  AppendSpecRecord(specs, &versions, &out);
   return out;
 }
 
 Status HierarchicalAggregator::Restore(const std::string& checkpoint) {
-  if (!HasWireMagic(checkpoint, kHierCheckpointMagic)) {
-    return InvalidArgumentError("hierarchical checkpoint: missing or wrong magic");
-  }
-  ParsedHierCheckpoint parsed;
-  const Status status = ParseHierCheckpoint(checkpoint, &parsed);
+  CheckpointState parsed;
+  const Status status = DecodeCheckpoint(kTieredCheckpointMagic, checkpoint, &parsed);
   if (!status.ok()) {
     return status;
   }
-  if (!parsed.have_meta) {
-    return InvalidArgumentError("hierarchical checkpoint: missing metadata record");
-  }
-  merger_.RestoreSnapshot(parsed.history, parsed.latest_specs);
-  last_build_ = parsed.last_build;
-  builds_completed_ = parsed.builds_completed;
+  merger_.RestoreSnapshot(parsed.history, parsed.specs, parsed.spec_versions);
+  clock_ = parsed.clock;
   samples_seen_ = parsed.samples_seen;
-  recent_samples_.Clear();
-  dedup_watermark_ = parsed.watermark;
-  for (const ParsedHierCheckpoint::DedupEntry& entry : parsed.dedup_entries) {
-    recent_samples_.Insert(entry.timestamp, dedup_ids_.Intern(entry.machine),
-                           dedup_ids_.Intern(entry.task));
-  }
+  dedup_.Restore(parsed.watermark, parsed.dedup_entries);
   // The restart starts a new epoch: partials the cells accumulated against
   // the pre-crash merger must not replay, exactly as a flat restore drops
   // the builder's in-progress window.

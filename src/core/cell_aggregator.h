@@ -18,17 +18,19 @@
 // Determinism contract, held by ParallelDeterminismTest:
 //  - Tiered runs are bit-identical across any cell count and thread count:
 //    cell partials are integer sketches (stats/sketch.h) whose merge is
-//    exactly associative, sample dedup is global (the same code and state as
-//    the flat path, so watermark pruning cannot diverge across partitions),
-//    and task identity crosses the tier as a partition-invariant FNV-1a
-//    hash, so spec eligibility counts distinct tasks exactly.
+//    exactly associative, sample dedup is global (one SampleDedup, the type
+//    the flat path uses, so watermark pruning cannot diverge across
+//    partitions), and task identity crosses the tier as a
+//    partition-invariant FNV-1a hash, so spec eligibility counts distinct
+//    tasks exactly.
 //  - Tiered equals flat within sketch quantization (~2^-20 relative) on
 //    spec values, with the spec key set, num_samples, and dedup counts
 //    exactly equal: the history-count arithmetic never touches quantized
-//    values, and the merger replays SpecBuilder's decay/merge code.
+//    values, and the merger runs SpecBuilder::MomentHistory's decay/merge.
 //  - Crash semantics match: Restore() resumes from the checkpoint and
-//    discards the cells' in-progress windows, losing exactly the samples a
-//    flat restore loses.
+//    discards the merger's and cells' in-progress windows, losing exactly
+//    the samples a flat restore loses: every sample since the last build,
+//    up to one spec_update_interval, however often checkpoints are taken.
 
 #ifndef CPI2_CORE_CELL_AGGREGATOR_H_
 #define CPI2_CORE_CELL_AGGREGATOR_H_
@@ -41,6 +43,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/aggregator_checkpoint.h"
 #include "core/dedup_window.h"
 #include "core/params.h"
 #include "core/spec_builder.h"
@@ -124,12 +127,13 @@ class GlobalMerger {
   int64_t partials_dropped() const { return partials_dropped_; }
 
   // --- checkpoint surface (used by HierarchicalAggregator) -----------------
-  // Name-sorted snapshots, mirroring SpecBuilder's; restoring them clears
-  // the in-progress window.
+  // Name-sorted snapshots, mirroring SpecBuilder's; the spec snapshot fills
+  // `specs` and the parallel `versions`. Restoring clears the in-progress
+  // window.
   std::vector<SpecBuilder::HistoryEntry> SnapshotHistory() const;
-  std::vector<VersionedSpec> SnapshotLatestSpecs() const;
+  void SnapshotLatestSpecs(std::vector<CpiSpec>* specs, std::vector<uint64_t>* versions) const;
   void RestoreSnapshot(const std::vector<SpecBuilder::HistoryEntry>& history,
-                       const std::vector<VersionedSpec>& latest_specs);
+                       const std::vector<CpiSpec>& specs, const std::vector<uint64_t>& versions);
 
  private:
   using IdKey = uint64_t;
@@ -138,21 +142,6 @@ class GlobalMerger {
   }
   static constexpr uint32_t JobOf(IdKey key) { return static_cast<uint32_t>(key >> 32); }
   static constexpr uint32_t PlatformOf(IdKey key) { return static_cast<uint32_t>(key); }
-
-  // SpecBuilder::MomentHistory's exact arithmetic, restated here because the
-  // original is private. The decay/merge expressions must stay literally
-  // identical — flat-vs-tiered num_samples equality depends on the count
-  // arithmetic being the same sequence of double operations.
-  struct MomentHistory {
-    double count = 0.0;
-    double mean = 0.0;
-    double m2 = 0.0;
-    double usage_mean = 0.0;
-
-    void Decay(double weight);
-    void Merge(double other_count, double other_mean, double other_m2, double other_usage);
-    double Variance() const { return count > 1.0 ? m2 / (count - 1.0) : 0.0; }
-  };
 
   struct MergedPartial {
     CpiSketch sketch;
@@ -170,7 +159,7 @@ class GlobalMerger {
   Cpi2Params params_;
   StringInterner names_;
   std::unordered_map<IdKey, MergedPartial> window_;
-  std::unordered_map<IdKey, MomentHistory> history_;
+  std::unordered_map<IdKey, SpecBuilder::MomentHistory> history_;
   std::unordered_map<IdKey, VersionedSpec> latest_specs_;
   std::vector<std::pair<uint64_t, int64_t>> merge_scratch_;  // reused per merge
   int64_t partials_dropped_ = 0;
@@ -186,9 +175,9 @@ class HierarchicalAggregator {
 
   explicit HierarchicalAggregator(const Cpi2Params& params);
 
-  // Routes one sample to `cell` after global dedup — the same dedup code,
-  // state, and counters as the flat Aggregator, which is what makes the
-  // dedup outcome independent of the cell partition.
+  // Routes one sample to `cell` after global dedup — one SampleDedup for all
+  // cells, as the flat Aggregator has, which is what makes the dedup outcome
+  // independent of the cell partition.
   void AddSample(size_t cell, const CpiSample& sample);
 
   // Same cadence contract as Aggregator::Tick: first call starts the build
@@ -213,8 +202,8 @@ class HierarchicalAggregator {
 
   size_t cell_count() const { return cells_.size(); }
   GlobalMerger& merger() { return merger_; }
-  int64_t builds_completed() const { return builds_completed_; }
-  int64_t duplicates_dropped() const { return duplicates_dropped_; }
+  int64_t builds_completed() const { return clock_.builds_completed; }
+  int64_t duplicates_dropped() const { return dedup_.dropped(); }
   int64_t samples_seen() const { return samples_seen_; }
 
   // Simulates a dead cell: it stops emitting frames (its window is dropped
@@ -232,10 +221,11 @@ class HierarchicalAggregator {
   int64_t partials_dropped() const { return merger_.partials_dropped(); }
 
   // --- checkpoint/restore --------------------------------------------------
-  // Binary framed blob (CPI2HAG1), same record vocabulary as the flat v3
-  // checkpoint plus per-spec versions. Restore is all-or-nothing and — like
-  // the flat path — discards all in-progress windows (merger and cells): a
-  // restarted merger must not replay partials from its pre-crash epoch.
+  // Binary framed blob (CPI2HAG1): the flat checkpoint's codec
+  // (core/aggregator_checkpoint.h) with per-spec versions. Restore is
+  // all-or-nothing and — like the flat path — discards all in-progress
+  // windows (merger and cells): a restarted merger must not replay partials
+  // from its pre-crash epoch.
   std::string Checkpoint() const;
   Status Restore(const std::string& checkpoint);
 
@@ -245,15 +235,9 @@ class HierarchicalAggregator {
   GlobalMerger merger_;
   SpecCallback callback_;
   ThreadPool* pool_ = nullptr;  // borrowed; frame encoding only
-  StringInterner dedup_ids_;
-  InternMemo machine_memo_;
-  InternCache task_memo_;  // tasks rotate within a machine's batch
-  MicroTime last_build_ = -1;
-  int64_t builds_completed_ = 0;
-  int64_t duplicates_dropped_ = 0;
+  BuildClock clock_;
+  SampleDedup dedup_;
   int64_t samples_seen_ = 0;
-  DedupWindow recent_samples_;
-  MicroTime dedup_watermark_ = 0;
   std::vector<bool> cell_down_;
   std::vector<MicroTime> cell_last_merge_;  // -1 until a cell first reports
   int64_t cells_reporting_ = 0;

@@ -21,15 +21,21 @@
 // timestamp, then machine id, then task id) so restored-and-rewritten
 // checkpoints stay byte-identical; SortedEntries() materializes exactly
 // that ordering on demand, paying the sort only at checkpoint time.
+//
+// SampleDedup wraps the window into the filter both aggregators run on every
+// ingested sample: name interning, the watermark prune, the drop counter and
+// the checkpoint view.
 
 #ifndef CPI2_CORE_DEDUP_WINDOW_H_
 #define CPI2_CORE_DEDUP_WINDOW_H_
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/types.h"
+#include "util/interner.h"
 
 namespace cpi2 {
 
@@ -209,6 +215,66 @@ class DedupWindow {
   std::vector<uint8_t> state_;
   std::vector<Entry> heap_;    // min-heap by timestamp; also the dense live list
   size_t tombstones_ = 0;
+};
+
+// Duplicate-sample idempotence (params.sample_dedup_window): a (machine,
+// task, timestamp) triple seen twice within the window is dropped, so an
+// agent retrying after a lost ack cannot double-count. The interned ids make
+// the per-sample probe integer compares; the watermark (newest timestamp
+// seen) prunes the window, which stays bounded by window x arrival rate.
+class SampleDedup {
+ public:
+  // One window entry by name, as checkpoints carry it.
+  struct NamedEntry {
+    MicroTime timestamp = 0;
+    std::string machine;
+    std::string task;
+  };
+
+  // window <= 0 turns dedup off: every sample is admitted.
+  explicit SampleDedup(MicroTime window) : window_(window) {}
+
+  // False for a duplicate (counted in dropped()); true otherwise, including
+  // samples with no machine name, which carry no identity to dedup on.
+  bool Admit(const CpiSample& sample) {
+    if (window_ <= 0 || sample.machine.empty()) {
+      return true;
+    }
+    if (sample.timestamp > watermark_) {
+      watermark_ = sample.timestamp;
+      recent_.PruneOlderThan(watermark_ - window_);
+    }
+    if (recent_.Insert(sample.timestamp, machine_memo_.Intern(ids_, sample.machine),
+                       task_memo_.Intern(ids_, sample.task))) {
+      return true;
+    }
+    ++dropped_;
+    return false;
+  }
+
+  int64_t dropped() const { return dropped_; }
+  MicroTime watermark() const { return watermark_; }
+  std::vector<DedupWindow::Entry> SortedEntries() const { return recent_.SortedEntries(); }
+  const std::string& NameOf(uint32_t id) const { return ids_.NameOf(id); }
+
+  // Replaces the watermark and window with checkpointed contents; dropped()
+  // keeps counting across the restore.
+  void Restore(MicroTime watermark, const std::vector<NamedEntry>& entries) {
+    recent_.Clear();
+    watermark_ = watermark;
+    for (const NamedEntry& entry : entries) {
+      recent_.Insert(entry.timestamp, ids_.Intern(entry.machine), ids_.Intern(entry.task));
+    }
+  }
+
+ private:
+  MicroTime window_;
+  StringInterner ids_;      // machine and task names share one id space
+  InternMemo machine_memo_;  // batches deliver one machine's samples in a row
+  InternCache task_memo_;    // tasks rotate within a machine's batch
+  DedupWindow recent_;
+  MicroTime watermark_ = 0;
+  int64_t dropped_ = 0;
 };
 
 }  // namespace cpi2

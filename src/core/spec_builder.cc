@@ -227,15 +227,8 @@ std::optional<CpiSpec> SpecBuilder::GetSpec(const std::string& jobname,
 std::vector<SpecBuilder::HistoryEntry> SpecBuilder::SnapshotHistory() const {
   std::vector<HistoryEntry> entries;
   for (const IdKey key : SortedKeysAllShards(&Shard::history)) {
-    const MomentHistory& history = shards_[ShardOf(key)].history.at(key);
-    HistoryEntry entry;
-    entry.key.jobname = names_.NameOf(JobOf(key));
-    entry.key.platforminfo = names_.NameOf(PlatformOf(key));
-    entry.count = history.count;
-    entry.mean = history.mean;
-    entry.m2 = history.m2;
-    entry.usage_mean = history.usage_mean;
-    entries.push_back(std::move(entry));
+    entries.push_back(HistoryEntry{{shards_[ShardOf(key)].history.at(key)},
+                                   {names_.NameOf(JobOf(key)), names_.NameOf(PlatformOf(key))}});
   }
   return entries;
 }
@@ -253,15 +246,8 @@ std::vector<SpecBuilder::HistoryEntry> SpecBuilder::SnapshotShardHistory(size_t 
   const Shard& s = shards_[shard];
   entries.reserve(s.history.size());
   for (const IdKey key : SortedKeys(s.history)) {
-    const MomentHistory& history = s.history.at(key);
-    HistoryEntry entry;
-    entry.key.jobname = names_.NameOf(JobOf(key));
-    entry.key.platforminfo = names_.NameOf(PlatformOf(key));
-    entry.count = history.count;
-    entry.mean = history.mean;
-    entry.m2 = history.m2;
-    entry.usage_mean = history.usage_mean;
-    entries.push_back(std::move(entry));
+    entries.push_back(HistoryEntry{
+        {s.history.at(key)}, {names_.NameOf(JobOf(key)), names_.NameOf(PlatformOf(key))}});
   }
   return entries;
 }
@@ -290,11 +276,7 @@ void SpecBuilder::RestoreSnapshot(const std::vector<HistoryEntry>& history,
   for (const HistoryEntry& entry : history) {
     const IdKey key = MakeKey(names_.Intern(entry.key.jobname),
                               names_.Intern(entry.key.platforminfo));
-    MomentHistory& moments = shards_[ShardOf(key)].history[key];
-    moments.count = entry.count;
-    moments.mean = entry.mean;
-    moments.m2 = entry.m2;
-    moments.usage_mean = entry.usage_mean;
+    shards_[ShardOf(key)].history[key] = entry;
   }
   for (const CpiSpec& spec : latest_specs) {
     const IdKey key =

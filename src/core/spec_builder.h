@@ -42,6 +42,21 @@ namespace cpi2 {
 
 class SpecBuilder {
  public:
+  // Weighted moment history: an (effective_count, mean, m2) triple that can
+  // be decayed and merged. GlobalMerger keeps its history in the same type,
+  // so the flat and tiered paths run one sequence of double operations and
+  // agree exactly on num_samples.
+  struct MomentHistory {
+    double count = 0.0;
+    double mean = 0.0;
+    double m2 = 0.0;
+    double usage_mean = 0.0;
+
+    void Decay(double weight);
+    void Merge(double other_count, double other_mean, double other_m2, double other_usage);
+    double Variance() const { return count > 1.0 ? m2 / (count - 1.0) : 0.0; }
+  };
+
   explicit SpecBuilder(const Cpi2Params& params);
 
   // Feeds one sample into the current accumulation window immediately.
@@ -85,19 +100,15 @@ class SpecBuilder {
   // produces the same specs the crashed one would have. Snapshots translate
   // interned ids back to names (boundary translation) and emit entries in
   // (jobname, platforminfo) order.
-  struct HistoryEntry {
+  struct HistoryEntry : MomentHistory {
     JobPlatformKey key;
-    double count = 0.0;
-    double mean = 0.0;
-    double m2 = 0.0;
-    double usage_mean = 0.0;
   };
   std::vector<HistoryEntry> SnapshotHistory() const;
   std::vector<CpiSpec> SnapshotLatestSpecs() const;
   // Replaces history, latest specs, and the sample counter with the snapshot
   // contents. The in-progress accumulation window (staged or applied) is
-  // cleared: a restore resumes from the last checkpointed build, losing only
-  // the samples that arrived after the checkpoint was taken.
+  // cleared and is not in any snapshot: a restore resumes from the last
+  // build before the checkpoint, losing every sample accumulated since it.
   void RestoreSnapshot(const std::vector<HistoryEntry>& history,
                        const std::vector<CpiSpec>& latest_specs, int64_t samples_seen);
 
@@ -121,19 +132,6 @@ class SpecBuilder {
   }
   static constexpr uint32_t JobOf(IdKey key) { return static_cast<uint32_t>(key >> 32); }
   static constexpr uint32_t PlatformOf(IdKey key) { return static_cast<uint32_t>(key); }
-
-  // Weighted moment history: an (effective_count, mean, m2) triple that can
-  // be decayed and merged.
-  struct MomentHistory {
-    double count = 0.0;
-    double mean = 0.0;
-    double m2 = 0.0;
-    double usage_mean = 0.0;
-
-    void Decay(double weight);
-    void Merge(double other_count, double other_mean, double other_m2, double other_usage);
-    double Variance() const { return count > 1.0 ? m2 / (count - 1.0) : 0.0; }
-  };
 
   struct Accumulation {
     StreamingStats cpi;

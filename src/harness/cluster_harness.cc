@@ -89,12 +89,11 @@ void ClusterHarness::WireAgents() {
   // path fans out to the job's subscribers. Agents still verify the platform
   // match themselves.
   if (hier_aggregator_ != nullptr) {
-    hier_aggregator_->SetSpecCallback([this](const CpiSpec& spec, uint64_t version) {
-      OnSpecPushTiered(spec, version);
-    });
+    hier_aggregator_->SetSpecCallback(
+        [this](const CpiSpec& spec, uint64_t version) { OnSpecPush(spec, version); });
     hier_aggregator_->SetThreadPool(cluster_.pool());
   } else {
-    aggregator_.SetSpecCallback([this](const CpiSpec& spec) { OnSpecPush(spec); });
+    aggregator_.SetSpecCallback([this](const CpiSpec& spec) { OnSpecPush(spec, 0); });
   }
   // Batched sample flushes and per-shard spec builds ride the cluster's
   // pool (nullptr when threads == 1 — everything stays on this thread).
@@ -256,7 +255,7 @@ void ClusterHarness::DeliverSpecTiered(const CpiSpec& spec, uint64_t version) {
   }
 }
 
-void ClusterHarness::OnSpecPushTiered(const CpiSpec& spec, uint64_t version) {
+void ClusterHarness::OnSpecPush(const CpiSpec& spec, uint64_t version) {
   if (fault_plane_->DrawSpecPushLost()) {
     return;
   }
@@ -265,11 +264,19 @@ void ClusterHarness::OnSpecPushTiered(const CpiSpec& spec, uint64_t version) {
         DelayedPush{cluster_.now() + fault_plane_->options().spec_push_delay, spec, version});
     return;
   }
-  DeliverSpecTiered(spec, version);
+  DeliverPush(spec, version);
   if (fault_plane_->DrawSpecPushDuplicated()) {
-    // Version bookkeeping absorbs the duplicate: every subscriber already
-    // holds `version`, so the redundant fan-out touches no agent.
+    // Idempotent either way: a flat agent just restamps the same spec, and
+    // a tiered subscriber already holds `version`, so its fan-out is a no-op.
+    DeliverPush(spec, version);
+  }
+}
+
+void ClusterHarness::DeliverPush(const CpiSpec& spec, uint64_t version) {
+  if (hier_aggregator_ != nullptr) {
     DeliverSpecTiered(spec, version);
+  } else {
+    DeliverSpec(spec);
   }
 }
 
@@ -355,21 +362,6 @@ std::optional<CpiSpec> ClusterHarness::GetSpec(const std::string& jobname,
                                      : aggregator_.GetSpec(jobname, platforminfo);
 }
 
-void ClusterHarness::OnSpecPush(const CpiSpec& spec) {
-  if (fault_plane_->DrawSpecPushLost()) {
-    return;
-  }
-  if (fault_plane_->DrawSpecPushDelayed()) {
-    delayed_pushes_.push_back(
-        DelayedPush{cluster_.now() + fault_plane_->options().spec_push_delay, spec});
-    return;
-  }
-  DeliverSpec(spec);
-  if (fault_plane_->DrawSpecPushDuplicated()) {
-    DeliverSpec(spec);  // idempotent at the agent: same spec, fresher stamp
-  }
-}
-
 void ClusterHarness::RestartAgent(AgentChannel& channel, MicroTime now) {
   // The dead process's kernel caps outlive it. A restarting agent has no
   // record of them, so startup reconciliation lifts every cap it finds —
@@ -399,12 +391,7 @@ void ClusterHarness::OnTick(MicroTime now) {
   // apply the transitions that must precede agent ticking.
   fault_plane_->BeginTick(now);
   while (!delayed_pushes_.empty() && delayed_pushes_.front().due <= now) {
-    const DelayedPush& push = delayed_pushes_.front();
-    if (hier_aggregator_ != nullptr) {
-      DeliverSpecTiered(push.spec, push.version);
-    } else {
-      DeliverSpec(push.spec);
-    }
+    DeliverPush(delayed_pushes_.front().spec, delayed_pushes_.front().version);
     delayed_pushes_.pop_front();
   }
   for (size_t i = 0; i < channels_.size(); ++i) {

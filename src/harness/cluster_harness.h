@@ -174,8 +174,8 @@ class ClusterHarness {
     bool needs_catchup = false;  // deliver current specs at next serial phase
   };
 
-  // A spec push the fault plane delayed in flight. `version` rides along on
-  // the tiered path (0 and unused on the flat path).
+  // A spec push the fault plane delayed in flight, with its OnSpecPush
+  // version.
   struct DelayedPush {
     MicroTime due = 0;
     CpiSpec spec;
@@ -209,14 +209,16 @@ class ClusterHarness {
   // kUnavailable so the agent retries (and dedup absorbs the duplicate).
   DeliveryResult DeliverSample(size_t machine_index, const CpiSample& sample);
 
-  // Fault-plane wrapper around one spec push. Draw order: lost, delayed,
-  // duplicated.
-  void OnSpecPush(const CpiSpec& spec);
+  // The fault step of one spec push, on either aggregation path. Draw
+  // order: lost, delayed, duplicated. `version` is the tiered build version
+  // (0 on the flat path).
+  void OnSpecPush(const CpiSpec& spec, uint64_t version);
+  // Hands a push that survived the fault step to the agents: the flat
+  // path's platform broadcast or the tiered path's subscription fan-out.
+  void DeliverPush(const CpiSpec& spec, uint64_t version);
   // Hands `spec` to every up agent on its platform (flat path: a platform
   // broadcast).
   void DeliverSpec(const CpiSpec& spec);
-  // Tiered-path fault wrapper; same draw order as OnSpecPush.
-  void OnSpecPushTiered(const CpiSpec& spec, uint64_t version);
   // Subscription fan-out: hands `spec` only to the up agents subscribed to
   // its job (on the matching platform) that have not seen `version` yet.
   void DeliverSpecTiered(const CpiSpec& spec, uint64_t version);

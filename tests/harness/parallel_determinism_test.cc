@@ -24,6 +24,7 @@ struct RunResult {
   int64_t outliers = 0;
   int64_t anomalies = 0;
   int64_t incidents_reported = 0;
+  int64_t spec_pushes_delivered = 0;
   std::vector<std::string> incidents;  // full sequence, in log order
   std::string victim_spec;
   std::string machine_state;  // per-machine counters after the run
@@ -124,6 +125,12 @@ RunResult RunScenario(int threads, bool with_faults = false, int spec_shards = -
   if (with_faults) {
     options.params.spec_staleness_ttl = 5 * kMicrosPerMinute;
     options.params.sample_dedup_window = 2 * kMicrosPerMinute;
+    // The aggregator crashes at every 5-minute outage, and a restore drops
+    // every sample since the last build. A 5-minute build interval lets a
+    // build land between crashes; a 5-minute window holds ~4 samples per
+    // task after the 15% drop rate, hence the floor of 2.
+    options.params.spec_update_interval = 5 * kMicrosPerMinute;
+    options.params.min_samples_per_task = 2;
     options.faults = AllFaultsActive();
   }
   options.faults.wire_corrupt_rate = wire_corrupt_rate;
@@ -167,6 +174,7 @@ RunResult RunScenario(int threads, bool with_faults = false, int spec_shards = -
                   spec->cpi_mean, spec->cpi_stddev);
   }
   result.health = SerializeHealth(harness.Health());
+  result.spec_pushes_delivered = harness.Health().spec_pushes_delivered;
   result.forensics = SerializeForensics(harness.incidents(), harness.now());
   result.forensics_oracle_mismatch = ForensicsOracleMismatch(
       harness.incidents(), PostMortemQueries(harness.incidents(), harness.now()));
@@ -212,10 +220,13 @@ TEST(ParallelDeterminismTest, ActiveFaultsStayBitIdenticalAcrossThreadCounts) {
   const RunResult serial = RunScenario(/*threads=*/1, /*with_faults=*/true);
   const RunResult parallel = RunScenario(/*threads=*/4, /*with_faults=*/true);
 
-  // The faults must actually fire for the comparison to mean anything.
+  // The faults must actually fire, and specs, detection and enforcement
+  // must still run through them, for the comparison to mean anything.
   ASSERT_GT(serial.samples_collected, 0);
   ASSERT_EQ(serial.health.find("crashes=0 "), std::string::npos) << serial.health;
   ASSERT_EQ(serial.health.find("outages=0 "), std::string::npos) << serial.health;
+  ASSERT_GT(serial.spec_pushes_delivered, 0) << serial.health;
+  ASSERT_FALSE(serial.incidents.empty()) << serial.health;
 
   EXPECT_EQ(serial.samples_collected, parallel.samples_collected);
   EXPECT_EQ(serial.outliers, parallel.outliers);
@@ -264,6 +275,8 @@ TEST(ParallelDeterminismTest, SpecShardCountChangesNothingObservable) {
                                                /*spec_shards=*/5);
   const RunResult faulted_parallel = RunScenario(/*threads=*/4, /*with_faults=*/true,
                                                  /*spec_shards=*/5);
+  ASSERT_GT(faulted_one.spec_pushes_delivered, 0) << faulted_one.health;
+  ASSERT_FALSE(faulted_one.incidents.empty()) << faulted_one.health;
   EXPECT_EQ(faulted_one.machine_state, faulted_parallel.machine_state);
   EXPECT_EQ(faulted_one.health, faulted_parallel.health);
   EXPECT_EQ(faulted_one.incidents, faulted_parallel.incidents);
@@ -278,13 +291,13 @@ TEST(ParallelDeterminismTest, LegacyForensicsPathMatchesColumnar) {
   // The columnar forensics index must answer exactly as the reference scans
   // (SelectLegacy, TopAntagonistsLegacy) over a query mix by job, machine
   // and time window, on the incident log of a clean run and of a run under
-  // full fault load. (The staleness policy suppresses most detection in the
-  // faulted scenario; IdentificationStormTest runs the same check on a
-  // faulted log with many incidents.)
+  // full fault load. (IdentificationStormTest runs the same check on a
+  // faulted log with many more incidents.)
   const RunResult clean = RunScenario(/*threads=*/4, /*with_faults=*/false);
   ASSERT_FALSE(clean.incidents.empty());
   EXPECT_EQ(clean.forensics_oracle_mismatch, "");
   const RunResult faulted = RunScenario(/*threads=*/4, /*with_faults=*/true);
+  ASSERT_FALSE(faulted.incidents.empty()) << faulted.health;
   EXPECT_EQ(faulted.forensics_oracle_mismatch, "");
 }
 
@@ -296,6 +309,8 @@ TEST(ParallelDeterminismTest, WireCorruptionIsSurfacedAndDeterministic) {
   const RunResult serial = RunScenario(/*threads=*/1, /*with_faults=*/true,
                                        /*spec_shards=*/-1, /*wire_corrupt_rate=*/0.05);
   ASSERT_GT(serial.samples_collected, 0);
+  ASSERT_GT(serial.spec_pushes_delivered, 0) << serial.health;
+  ASSERT_FALSE(serial.incidents.empty()) << serial.health;
   // The corruption must actually fire and be surfaced through health.
   EXPECT_EQ(serial.health.find("decode_err=0 "), std::string::npos) << serial.health;
   EXPECT_EQ(serial.health.find("corrupted=0"), std::string::npos) << serial.health;

@@ -493,8 +493,8 @@ TEST_P(CheckpointCorruptionTest, CrcValidCraftedRecordsAreRejected) {
 INSTANTIATE_TEST_SUITE_P(
     Formats, CheckpointCorruptionTest,
     ::testing::Values(CheckpointKind::kFlat, CheckpointKind::kTiered),
-    [](const ::testing::TestParamInfo<CheckpointKind>& info) {
-      return info.param == CheckpointKind::kFlat ? std::string("CPAGCKP3")
+    [](const ::testing::TestParamInfo<CheckpointKind>& param_info) {
+      return param_info.param == CheckpointKind::kFlat ? std::string("CPAGCKP3")
                                                  : std::string("CPI2HAG1");
     });
 
