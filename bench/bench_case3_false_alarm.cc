@@ -88,5 +88,5 @@ void Run() {
 
 int main() {
   cpi2::Run();
-  return 0;
+  return cpi2::VerdictExitCode();
 }

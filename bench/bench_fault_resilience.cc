@@ -55,8 +55,8 @@ ScenarioResult RunScenario(double sample_loss, const FaultPlane::Options& faults
   options.params.spec_update_interval =
       staleness_ttl > 0 ? 24 * kMicrosPerHour : 30 * kMicrosPerMinute;
   options.params.spec_staleness_ttl = staleness_ttl;
-  options.sample_drop_rate = sample_loss;
   options.faults = faults;
+  options.faults.sample_loss_rate = sample_loss;
   ClusterHarness harness(options);
   harness.cluster().AddMachines(ReferencePlatform(), kMachines);
   harness.cluster().BuildScheduler();

@@ -80,5 +80,5 @@ void Run() {
 
 int main() {
   cpi2::Run();
-  return 0;
+  return cpi2::VerdictExitCode();
 }

@@ -6,6 +6,12 @@
 #include "util/string_util.h"
 
 namespace cpi2 {
+namespace {
+
+int verdicts_printed = 0;
+bool verdict_failed = false;
+
+}  // namespace
 
 void PrintHeader(const std::string& artifact, const std::string& description) {
   std::printf("\n================================================================\n");
@@ -22,7 +28,13 @@ void PrintResult(const std::string& name, double value) {
 
 void PrintResult(const std::string& name, const std::string& value) {
   std::printf("RESULT %s = %s\n", name.c_str(), value.c_str());
+  if (name == "shape_holds") {
+    ++verdicts_printed;
+    verdict_failed |= value.rfind("yes", 0) != 0;
+  }
 }
+
+int VerdictExitCode() { return verdicts_printed > 0 && !verdict_failed ? 0 : 1; }
 
 void PrintSeries(const std::string& name, const TimeSeries& series, int max_rows, double scale) {
   std::printf("--- %s (t in minutes) ---\n", name.c_str());

@@ -24,7 +24,14 @@ void PrintPaperClaim(const std::string& text);
 
 // One measured scalar: "RESULT <name> = <value>".
 void PrintResult(const std::string& name, double value);
+// A "shape_holds" result is also the binary's verdict on the paper claim it
+// reproduces: "yes..." holds, anything else fails.
 void PrintResult(const std::string& name, const std::string& value);
+
+// The paper binaries' exit code: 0 when at least one shape_holds verdict
+// was printed and every one said "yes", 1 otherwise. ctest's `paper` label
+// runs them, so a broken claim fails `check-paper`.
+int VerdictExitCode();
 
 // A time series, downsampled to ~max_rows evenly spaced rows, values scaled
 // by `scale`. Time is printed in minutes from the series start.

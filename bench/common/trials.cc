@@ -95,6 +95,9 @@ std::vector<ThrottleTrial> RunThrottleTrials(const TrialOptions& options) {
     // --- build the world -------------------------------------------------
     ClusterHarness::Options harness_options;
     harness_options.cluster.seed = rng();
+    // Serial: a 6-machine trial is far too small for the thread pool's
+    // per-tick hand-offs to pay, and results are identical at any count.
+    harness_options.cluster.threads = 1;
     harness_options.params = TrialParams();
     ClusterHarness harness(harness_options);
     const int kMachines = 6;

@@ -264,7 +264,10 @@ class Agent {
   // crash reuses its id.
   StringInterner task_ids_;
   std::unordered_map<uint32_t, TaskSeries> series_;
-  // Specs for this machine's platform, keyed by jobname.
+  // Specs pushed to this agent, keyed by jobname: the machine's platform's
+  // spec of each job it runs (pushes fan out only to a job's subscribers,
+  // and a new subscriber is caught up at once). A job's spec stays cached
+  // after its last task here leaves.
   std::map<std::string, SpecEntry> specs_;
 
   // Persistent suspect table (DESIGN.md §17): one name-sorted row per task,

@@ -14,20 +14,25 @@
 //
 // Degraded-mode hardening:
 //  - Checkpoint/restore: the spec state (age-weighted history, latest
-//    specs, build clock) and the dedup state serialize to a framed binary
-//    CPAGCKP3 blob (core/aggregator_checkpoint.h; text v1/v2 blobs still
-//    load), so a restarted aggregator resumes with its age-weighted history
-//    instead of starting over. The open accumulation window is not
-//    checkpointed: a restore loses every sample accumulated since the last
-//    build, up to one spec_update_interval (24 h by default) however often
-//    checkpoints are taken. The writer streams shard by shard and reuses
-//    each shard's cached serialization until its state changes, so
-//    steady-state checkpoints between builds cost O(dedup window), not
-//    O(total jobs).
+//    specs with their versions, build clock) and the dedup state serialize
+//    to a framed binary CPI2HAG2 blob (core/aggregator_checkpoint.h; the
+//    older CPAGCKP3, CPI2HAG1 and text v1/v2 blobs still load), so a
+//    restarted aggregator resumes with its age-weighted history instead of
+//    starting over. The open accumulation window is not checkpointed: a
+//    restore loses every sample accumulated since the last build, up to one
+//    spec_update_interval (24 h by default) however often checkpoints are
+//    taken. The writer streams shard by shard and reuses each shard's
+//    cached serialization until its state changes, so steady-state
+//    checkpoints between builds cost O(dedup window), not O(total jobs).
 //  - Duplicate-sample idempotence (SampleDedup, core/dedup_window.h): when
 //    sample_dedup_window > 0 a replayed (machine, task, timestamp) triple
 //    is dropped. The watermark and window persist in the checkpoint, so
 //    duplicates replayed across a crash/restore are still absorbed.
+//
+// Spec versions (SpecBuilder::LatestSpec) are the build numbers, 1 for
+// the first, as in the HierarchicalAggregator; the harness fans a spec out
+// only to subscribers that lack its version and catches new or restarted
+// ones up from LatestSpec.
 
 #ifndef CPI2_CORE_AGGREGATOR_H_
 #define CPI2_CORE_AGGREGATOR_H_
@@ -78,6 +83,10 @@ class Aggregator {
                                  const std::string& platforminfo) const {
     return builder_.GetSpec(jobname, platforminfo);
   }
+  std::optional<VersionedSpec> LatestSpec(const std::string& jobname,
+                                          const std::string& platforminfo) const {
+    return builder_.LatestSpec(jobname, platforminfo);
+  }
 
   SpecBuilder& builder() { return builder_; }
   int64_t builds_completed() const { return clock_.builds_completed; }
@@ -89,19 +98,15 @@ class Aggregator {
   // one chunk per builder shard, each reused from a cached serialization
   // when that shard hasn't changed since the last checkpoint. The
   // in-progress accumulation window is excluded; see the header comment.
-  // Emits the framed binary v3 encoding; Restore also accepts the text
-  // v1/v2 encodings.
+  // Emits CPI2HAG2.
   void WriteCheckpoint(const CheckpointSink& sink) const;
   // Convenience wrapper materializing the streamed checkpoint as one blob.
   std::string Checkpoint() const;
-  // The same state as a human-readable text v2 checkpoint (what wiredump
-  // prints). Restoring it yields an aggregator bit-identical to restoring
-  // Checkpoint().
-  std::string CheckpointText() const;
-  // Replaces this aggregator's state with a previously checkpointed blob.
-  // Fails (leaving the current state untouched) on a malformed blob: every
-  // numeric field is parsed strictly, so a corrupted checkpoint surfaces as
-  // InvalidArgumentError naming the bad line instead of restoring zeros.
+  // Replaces this aggregator's state with a previously checkpointed blob in
+  // any format DecodeCheckpoint reads. Fails (leaving the current state
+  // untouched) on a malformed blob: every field is parsed strictly, so a
+  // corrupted checkpoint surfaces as InvalidArgumentError naming the bad
+  // record or line instead of restoring zeros.
   Status Restore(const std::string& checkpoint);
   // File-backed convenience wrappers around WriteCheckpoint()/Restore().
   // SaveCheckpoint writes crash-atomically (tmp + fsync + rename), so a
@@ -116,11 +121,11 @@ class Aggregator {
   ThreadPool* pool_ = nullptr;  // borrowed; flush/build scheduling only
   BuildClock clock_;
   SampleDedup dedup_;
-  // Per-shard checkpoint blob cache, keyed by the builder's shard versions.
-  // Mutable: WriteCheckpoint is logically const and single-threaded (it runs
-  // in the harness's serial phase).
-  mutable std::vector<std::string> shard_blob_cache_;
-  mutable std::vector<uint64_t> shard_blob_version_;
+  // Per-shard checkpoint section cache, keyed by the builder's shard
+  // versions. Mutable: WriteCheckpoint is logically const and
+  // single-threaded (it runs in the harness's serial phase).
+  mutable std::vector<CheckpointSection> shard_sections_;
+  mutable std::vector<uint64_t> shard_section_version_;
 };
 
 }  // namespace cpi2

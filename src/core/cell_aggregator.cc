@@ -196,16 +196,7 @@ std::vector<CpiSpec> GlobalMerger::BuildSpecs(uint64_t version) {
   return specs;
 }
 
-std::optional<CpiSpec> GlobalMerger::GetSpec(const std::string& jobname,
-                                             const std::string& platforminfo) const {
-  const auto versioned = LatestSpec(jobname, platforminfo);
-  if (!versioned.has_value()) {
-    return std::nullopt;
-  }
-  return versioned->spec;
-}
-
-std::optional<GlobalMerger::VersionedSpec> GlobalMerger::LatestSpec(
+std::optional<VersionedSpec> GlobalMerger::LatestSpec(
     const std::string& jobname, const std::string& platforminfo) const {
   const auto job = names_.Find(jobname);
   const auto platform = names_.Find(platforminfo);
@@ -229,18 +220,17 @@ std::vector<SpecBuilder::HistoryEntry> GlobalMerger::SnapshotHistory() const {
   return entries;
 }
 
-void GlobalMerger::SnapshotLatestSpecs(std::vector<CpiSpec>* specs,
-                                       std::vector<uint64_t>* versions) const {
+std::vector<VersionedSpec> GlobalMerger::SnapshotLatestSpecs() const {
+  std::vector<VersionedSpec> specs;
+  specs.reserve(latest_specs_.size());
   for (const IdKey key : SortedKeys(latest_specs_)) {
-    const VersionedSpec& versioned = latest_specs_.at(key);
-    specs->push_back(versioned.spec);
-    versions->push_back(versioned.version);
+    specs.push_back(latest_specs_.at(key));
   }
+  return specs;
 }
 
 void GlobalMerger::RestoreSnapshot(const std::vector<SpecBuilder::HistoryEntry>& history,
-                                   const std::vector<CpiSpec>& specs,
-                                   const std::vector<uint64_t>& versions) {
+                                   const std::vector<VersionedSpec>& specs) {
   history_.clear();
   latest_specs_.clear();
   window_.clear();
@@ -248,10 +238,9 @@ void GlobalMerger::RestoreSnapshot(const std::vector<SpecBuilder::HistoryEntry>&
     history_[MakeKey(names_.Intern(entry.key.jobname), names_.Intern(entry.key.platforminfo))] =
         entry;
   }
-  for (size_t i = 0; i < specs.size(); ++i) {
-    const IdKey key =
-        MakeKey(names_.Intern(specs[i].jobname), names_.Intern(specs[i].platforminfo));
-    latest_specs_[key] = VersionedSpec{specs[i], versions[i]};
+  for (const VersionedSpec& versioned : specs) {
+    latest_specs_[MakeKey(names_.Intern(versioned.spec.jobname),
+                          names_.Intern(versioned.spec.platforminfo))] = versioned;
   }
 }
 
@@ -341,24 +330,21 @@ void HierarchicalAggregator::SetCellDown(size_t cell, bool down) {
 }
 
 std::string HierarchicalAggregator::Checkpoint() const {
+  CheckpointSection section;
+  EncodeCheckpointSection(merger_.SnapshotHistory(), merger_.SnapshotLatestSpecs(), &section);
   std::string out;
-  WriteCheckpointHead(kTieredCheckpointMagic, clock_, samples_seen_, dedup_,
-                      [&out](std::string_view chunk) { out.append(chunk); });
-  AppendHistoryRecord(merger_.SnapshotHistory(), &out);
-  std::vector<CpiSpec> specs;
-  std::vector<uint64_t> versions;
-  merger_.SnapshotLatestSpecs(&specs, &versions);
-  AppendSpecRecord(specs, &versions, &out);
+  WriteCheckpoint(clock_, samples_seen_, dedup_, {&section, 1},
+                  [&out](std::string_view chunk) { out.append(chunk); });
   return out;
 }
 
 Status HierarchicalAggregator::Restore(const std::string& checkpoint) {
   CheckpointState parsed;
-  const Status status = DecodeCheckpoint(kTieredCheckpointMagic, checkpoint, &parsed);
+  const Status status = DecodeCheckpoint(checkpoint, &parsed);
   if (!status.ok()) {
     return status;
   }
-  merger_.RestoreSnapshot(parsed.history, parsed.specs, parsed.spec_versions);
+  merger_.RestoreSnapshot(parsed.history, parsed.specs);
   clock_ = parsed.clock;
   samples_seen_ = parsed.samples_seen;
   dedup_.Restore(parsed.watermark, parsed.dedup_entries);

@@ -100,13 +100,6 @@ class CellAggregator {
 // produce the same specs up to sketch quantization.
 class GlobalMerger {
  public:
-  // A spec plus the build version that produced it, for subscription
-  // fan-out: a subscriber holding this version needs no redelivery.
-  struct VersionedSpec {
-    CpiSpec spec;
-    uint64_t version = 0;
-  };
-
   explicit GlobalMerger(const Cpi2Params& params);
 
   // Decodes one CPI2SKT1 frame and folds its partials into the current
@@ -119,21 +112,18 @@ class GlobalMerger {
   // path's push order. Every returned spec is stamped with `version`.
   std::vector<CpiSpec> BuildSpecs(uint64_t version);
 
-  std::optional<CpiSpec> GetSpec(const std::string& jobname,
-                                 const std::string& platforminfo) const;
   std::optional<VersionedSpec> LatestSpec(const std::string& jobname,
                                           const std::string& platforminfo) const;
 
   int64_t partials_dropped() const { return partials_dropped_; }
 
   // --- checkpoint surface (used by HierarchicalAggregator) -----------------
-  // Name-sorted snapshots, mirroring SpecBuilder's; the spec snapshot fills
-  // `specs` and the parallel `versions`. Restoring clears the in-progress
-  // window.
+  // Name-sorted snapshots, mirroring SpecBuilder's. Restoring clears the
+  // in-progress window.
   std::vector<SpecBuilder::HistoryEntry> SnapshotHistory() const;
-  void SnapshotLatestSpecs(std::vector<CpiSpec>* specs, std::vector<uint64_t>* versions) const;
+  std::vector<VersionedSpec> SnapshotLatestSpecs() const;
   void RestoreSnapshot(const std::vector<SpecBuilder::HistoryEntry>& history,
-                       const std::vector<CpiSpec>& specs, const std::vector<uint64_t>& versions);
+                       const std::vector<VersionedSpec>& specs);
 
  private:
   using IdKey = uint64_t;
@@ -193,10 +183,11 @@ class HierarchicalAggregator {
 
   std::optional<CpiSpec> GetSpec(const std::string& jobname,
                                  const std::string& platforminfo) const {
-    return merger_.GetSpec(jobname, platforminfo);
+    const auto latest = merger_.LatestSpec(jobname, platforminfo);
+    return latest ? std::optional<CpiSpec>(latest->spec) : std::nullopt;
   }
-  std::optional<GlobalMerger::VersionedSpec> LatestSpec(
-      const std::string& jobname, const std::string& platforminfo) const {
+  std::optional<VersionedSpec> LatestSpec(const std::string& jobname,
+                                          const std::string& platforminfo) const {
     return merger_.LatestSpec(jobname, platforminfo);
   }
 
@@ -221,11 +212,11 @@ class HierarchicalAggregator {
   int64_t partials_dropped() const { return merger_.partials_dropped(); }
 
   // --- checkpoint/restore --------------------------------------------------
-  // Binary framed blob (CPI2HAG1): the flat checkpoint's codec
-  // (core/aggregator_checkpoint.h) with per-spec versions. Restore is
-  // all-or-nothing and — like the flat path — discards all in-progress
-  // windows (merger and cells): a restarted merger must not replay partials
-  // from its pre-crash epoch.
+  // CPI2HAG2, the flat Aggregator's format (core/aggregator_checkpoint.h),
+  // with one H and one S record; Restore reads every format that codec
+  // reads. Restore is all-or-nothing and — like the flat path — discards
+  // all in-progress windows (merger and cells): a restarted merger must not
+  // replay partials from its pre-crash epoch.
   std::string Checkpoint() const;
   Status Restore(const std::string& checkpoint);
 

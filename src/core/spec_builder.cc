@@ -143,7 +143,7 @@ std::vector<SpecBuilder::IdKey> SpecBuilder::SortedKeysAllShards(Map Shard::* me
   return keys;
 }
 
-void SpecBuilder::BuildShard(Shard& shard) {
+void SpecBuilder::BuildShard(Shard& shard, uint64_t version) {
   shard.built_keys.clear();
   const bool durable_state_touched = !shard.history.empty() || !shard.current.empty();
 
@@ -172,7 +172,7 @@ void SpecBuilder::BuildShard(Shard& shard) {
     spec.cpu_usage_mean = history.usage_mean;
     spec.cpi_mean = history.mean;
     spec.cpi_stddev = std::sqrt(history.Variance());
-    shard.latest_specs[key] = std::move(spec);
+    shard.latest_specs[key] = VersionedSpec{std::move(spec), version};
     shard.built_keys.push_back(key);
   }
   shard.current.clear();
@@ -183,11 +183,13 @@ void SpecBuilder::BuildShard(Shard& shard) {
 
 std::vector<CpiSpec> SpecBuilder::BuildSpecs(ThreadPool* pool) {
   FlushStaged(pool);
+  const uint64_t version = ++spec_version_;
   if (pool != nullptr && shards_.size() > 1) {
-    pool->ParallelFor(shards_.size(), [this](size_t i) { BuildShard(shards_[i]); });
+    pool->ParallelFor(shards_.size(),
+                      [this, version](size_t i) { BuildShard(shards_[i], version); });
   } else {
     for (Shard& shard : shards_) {
-      BuildShard(shard);
+      BuildShard(shard, version);
     }
   }
 
@@ -203,13 +205,19 @@ std::vector<CpiSpec> SpecBuilder::BuildSpecs(ThreadPool* pool) {
   std::vector<CpiSpec> specs;
   specs.reserve(keys.size());
   for (const IdKey key : keys) {
-    specs.push_back(shards_[ShardOf(key)].latest_specs.at(key));
+    specs.push_back(shards_[ShardOf(key)].latest_specs.at(key).spec);
   }
   return specs;
 }
 
 std::optional<CpiSpec> SpecBuilder::GetSpec(const std::string& jobname,
                                             const std::string& platforminfo) const {
+  const auto latest = LatestSpec(jobname, platforminfo);
+  return latest ? std::optional<CpiSpec>(latest->spec) : std::nullopt;
+}
+
+std::optional<VersionedSpec> SpecBuilder::LatestSpec(const std::string& jobname,
+                                                     const std::string& platforminfo) const {
   const auto job = names_.Find(jobname);
   const auto platform = names_.Find(platforminfo);
   if (!job.has_value() || !platform.has_value()) {
@@ -233,8 +241,8 @@ std::vector<SpecBuilder::HistoryEntry> SpecBuilder::SnapshotHistory() const {
   return entries;
 }
 
-std::vector<CpiSpec> SpecBuilder::SnapshotLatestSpecs() const {
-  std::vector<CpiSpec> specs;
+std::vector<VersionedSpec> SpecBuilder::SnapshotLatestSpecs() const {
+  std::vector<VersionedSpec> specs;
   for (const IdKey key : SortedKeysAllShards(&Shard::latest_specs)) {
     specs.push_back(shards_[ShardOf(key)].latest_specs.at(key));
   }
@@ -252,8 +260,8 @@ std::vector<SpecBuilder::HistoryEntry> SpecBuilder::SnapshotShardHistory(size_t 
   return entries;
 }
 
-std::vector<CpiSpec> SpecBuilder::SnapshotShardLatestSpecs(size_t shard) const {
-  std::vector<CpiSpec> specs;
+std::vector<VersionedSpec> SpecBuilder::SnapshotShardLatestSpecs(size_t shard) const {
+  std::vector<VersionedSpec> specs;
   const Shard& s = shards_[shard];
   specs.reserve(s.latest_specs.size());
   for (const IdKey key : SortedKeys(s.latest_specs)) {
@@ -263,8 +271,8 @@ std::vector<CpiSpec> SpecBuilder::SnapshotShardLatestSpecs(size_t shard) const {
 }
 
 void SpecBuilder::RestoreSnapshot(const std::vector<HistoryEntry>& history,
-                                  const std::vector<CpiSpec>& latest_specs,
-                                  int64_t samples_seen) {
+                                  const std::vector<VersionedSpec>& latest_specs,
+                                  int64_t samples_seen, uint64_t spec_version) {
   for (Shard& shard : shards_) {
     shard.history.clear();
     shard.latest_specs.clear();
@@ -278,10 +286,12 @@ void SpecBuilder::RestoreSnapshot(const std::vector<HistoryEntry>& history,
                               names_.Intern(entry.key.platforminfo));
     shards_[ShardOf(key)].history[key] = entry;
   }
-  for (const CpiSpec& spec : latest_specs) {
-    const IdKey key =
-        MakeKey(names_.Intern(spec.jobname), names_.Intern(spec.platforminfo));
-    shards_[ShardOf(key)].latest_specs[key] = spec;
+  spec_version_ = spec_version;
+  for (const VersionedSpec& versioned : latest_specs) {
+    const IdKey key = MakeKey(names_.Intern(versioned.spec.jobname),
+                              names_.Intern(versioned.spec.platforminfo));
+    shards_[ShardOf(key)].latest_specs[key] = versioned;
+    spec_version_ = std::max(spec_version_, versioned.version);
   }
   samples_seen_ = samples_seen;
 }
@@ -297,7 +307,7 @@ void SpecBuilder::SeedHistory(const CpiSpec& spec) {
   seeded.m2 = spec.cpi_stddev * spec.cpi_stddev * static_cast<double>(spec.num_samples);
   seeded.usage_mean = spec.cpu_usage_mean;
   history.Merge(seeded.count, seeded.mean, seeded.m2, seeded.usage_mean);
-  shard.latest_specs[key] = spec;
+  shard.latest_specs[key] = VersionedSpec{spec, ++spec_version_};
   ++shard.version;
 }
 

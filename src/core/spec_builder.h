@@ -86,9 +86,14 @@ class SpecBuilder {
   // The spec from the most recent build, if that key was eligible.
   std::optional<CpiSpec> GetSpec(const std::string& jobname,
                                  const std::string& platforminfo) const;
+  // The same spec with its version: the number of the BuildSpecs or
+  // SeedHistory call that produced it, counting both from 1.
+  std::optional<VersionedSpec> LatestSpec(const std::string& jobname,
+                                          const std::string& platforminfo) const;
 
   // Pre-seeds history for a job (e.g. from a previous run's stored spec), so
-  // repeated jobs do not start from scratch.
+  // repeated jobs do not start from scratch. The seeded spec becomes the
+  // key's latest spec, with a version of its own.
   void SeedHistory(const CpiSpec& spec);
 
   int64_t samples_seen() const { return samples_seen_; }
@@ -104,13 +109,16 @@ class SpecBuilder {
     JobPlatformKey key;
   };
   std::vector<HistoryEntry> SnapshotHistory() const;
-  std::vector<CpiSpec> SnapshotLatestSpecs() const;
+  std::vector<VersionedSpec> SnapshotLatestSpecs() const;
   // Replaces history, latest specs, and the sample counter with the snapshot
   // contents. The in-progress accumulation window (staged or applied) is
   // cleared and is not in any snapshot: a restore resumes from the last
   // build before the checkpoint, losing every sample accumulated since it.
+  // The next build stamps a version above `spec_version` and above every
+  // restored spec's.
   void RestoreSnapshot(const std::vector<HistoryEntry>& history,
-                       const std::vector<CpiSpec>& latest_specs, int64_t samples_seen);
+                       const std::vector<VersionedSpec>& latest_specs, int64_t samples_seen,
+                       uint64_t spec_version);
 
   // --- per-shard checkpoint surface ----------------------------------------
   // The checkpoint writer serializes shard by shard and caches each shard's
@@ -122,7 +130,7 @@ class SpecBuilder {
   // Shard-local snapshots, name-sorted within the shard. Concatenating all
   // shards yields the same record multiset as the global snapshots above.
   std::vector<HistoryEntry> SnapshotShardHistory(size_t shard) const;
-  std::vector<CpiSpec> SnapshotShardLatestSpecs(size_t shard) const;
+  std::vector<VersionedSpec> SnapshotShardLatestSpecs(size_t shard) const;
 
  private:
   // Packed (jobname id, platforminfo id) map key.
@@ -154,7 +162,7 @@ class SpecBuilder {
   struct Shard {
     std::unordered_map<IdKey, Accumulation> current;
     std::unordered_map<IdKey, MomentHistory> history;
-    std::unordered_map<IdKey, CpiSpec> latest_specs;
+    std::unordered_map<IdKey, VersionedSpec> latest_specs;
     std::vector<StagedSample> staged;
     std::vector<IdKey> built_keys;  // build scratch: this shard's eligible keys
     uint64_t version = 1;           // durable-state version, for blob caching
@@ -169,8 +177,9 @@ class SpecBuilder {
   // Interns, routes, and stages one sample; returns its shard index.
   size_t Route(const CpiSample& sample);
   void ApplyStaged(Shard& shard);
-  // Decay + merge + spec build-out for one shard; fills shard.built_keys.
-  void BuildShard(Shard& shard);
+  // Decay + merge + spec build-out for one shard, stamping `version`;
+  // fills shard.built_keys.
+  void BuildShard(Shard& shard, uint64_t version);
 
   bool Eligible(const Accumulation& accumulation) const;
 
@@ -197,6 +206,10 @@ class SpecBuilder {
   std::vector<Shard> shards_;
   size_t staged_total_ = 0;
   int64_t samples_seen_ = 0;
+  // The last spec version stamped. Each BuildSpecs and each SeedHistory
+  // call stamps the specs it produces with the next one, starting at 1, so
+  // a key's version changes whenever its spec does and is never 0.
+  uint64_t spec_version_ = 0;
 };
 
 }  // namespace cpi2

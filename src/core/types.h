@@ -57,6 +57,14 @@ struct CpiSpec {
   double OutlierThreshold(double sigmas) const { return cpi_mean + sigmas * cpi_stddev; }
 };
 
+// A spec plus the build version that produced it, for subscription fan-out:
+// a subscriber holding this version needs no redelivery. Versions start at
+// 1; 0 is the harness's "never delivered".
+struct VersionedSpec {
+  CpiSpec spec;
+  uint64_t version = 0;
+};
+
 // Key identifying a spec: CPI is computed separately per job x CPU type.
 struct JobPlatformKey {
   std::string jobname;

@@ -5,13 +5,6 @@
 #include "util/logging.h"
 
 namespace cpi2 {
-namespace {
-
-// Historical drop-stream seed; xor'ed with the cluster seed so seed=0
-// reproduces the stream the pre-fault-plane harness hard-coded.
-constexpr uint64_t kDropSeedSalt = 0x5eed;
-
-}  // namespace
 
 TaskMeta MetaFromSpec(const std::string& task_name, const TaskSpec& spec) {
   TaskMeta meta;
@@ -26,8 +19,7 @@ TaskMeta MetaFromSpec(const std::string& task_name, const TaskSpec& spec) {
 ClusterHarness::ClusterHarness(Options options)
     : options_(options),
       cluster_(options_.cluster),
-      aggregator_(options.params),
-      drop_rng_(options.cluster.seed ^ kDropSeedSalt) {
+      aggregator_(options.params) {
   if (!options_.params.flat_aggregation_path) {
     hier_aggregator_ = std::make_unique<HierarchicalAggregator>(options_.params);
   }
@@ -72,8 +64,8 @@ void ClusterHarness::WireAgents() {
     auto agent = std::make_unique<Agent>(agent_options, source, machine);
     // Callbacks fire while agents tick in parallel, so samples queue in the
     // agent's own outbox and incidents append to this machine's channel; the
-    // shared sinks (drop_rng_, aggregator_, incident_log_) are fed from the
-    // deterministic machine-order drain in OnTick.
+    // shared sinks (fault draws, aggregator_, incident_log_) are fed from
+    // the deterministic machine-order drain in OnTick.
     AgentChannel& channel = channels_[i];
     channel.machine = machine;
     agent->SetBatchDeliveryCallback(
@@ -81,19 +73,19 @@ void ClusterHarness::WireAgents() {
     agent->SetIncidentCallback(
         [&channel](const Incident& incident) { channel.incidents.push_back(incident); });
     channel.agent = agent.get();
-    channels_by_platform_[machine->platform().name].push_back(i);
     agents_[machine->name()] = std::move(agent);
   }
-  // Spec push-back: every rebuilt spec goes through the fault plane, then to
-  // the agents — the flat path broadcasts to the spec's platform, the tiered
-  // path fans out to the job's subscribers. Agents still verify the platform
+  // Spec push-back: every rebuilt spec goes through the fault plane, then
+  // fans out to its job's subscribers. Agents still verify the platform
   // match themselves.
   if (hier_aggregator_ != nullptr) {
     hier_aggregator_->SetSpecCallback(
         [this](const CpiSpec& spec, uint64_t version) { OnSpecPush(spec, version); });
     hier_aggregator_->SetThreadPool(cluster_.pool());
   } else {
-    aggregator_.SetSpecCallback([this](const CpiSpec& spec) { OnSpecPush(spec, 0); });
+    aggregator_.SetSpecCallback([this](const CpiSpec& spec) {
+      OnSpecPush(spec, aggregator_.LatestSpec(spec.jobname, spec.platforminfo)->version);
+    });
   }
   // Batched sample flushes and per-shard spec builds ride the cluster's
   // pool (nullptr when threads == 1 — everything stays on this thread).
@@ -146,21 +138,19 @@ void ClusterHarness::TickChannel(AgentChannel& channel, MicroTime now) {
     }
     channel.synced_membership = version;
 
-    // Tiered path: the machine's job set is its subscription set. Recompute
-    // here (parallel phase, own channel only); the serial merge phase folds
-    // it into the global index when subs_dirty is set.
-    if (hier_aggregator_ != nullptr) {
-      std::vector<std::string> jobs;
-      jobs.reserve(machine_agent->Tasks().size());
-      for (const auto& [name, meta] : machine_agent->Tasks()) {
-        jobs.push_back(meta.jobname);
-      }
-      std::sort(jobs.begin(), jobs.end());
-      jobs.erase(std::unique(jobs.begin(), jobs.end()), jobs.end());
-      if (jobs != channel.sub_jobs) {
-        channel.sub_jobs = std::move(jobs);
-        channel.subs_dirty = true;
-      }
+    // The machine's job set is its subscription set. Recompute here
+    // (parallel phase, own channel only); the serial merge phase folds it
+    // into the global index when subs_dirty is set.
+    std::vector<std::string> jobs;
+    jobs.reserve(machine_agent->Tasks().size());
+    for (const auto& [name, meta] : machine_agent->Tasks()) {
+      jobs.push_back(meta.jobname);
+    }
+    std::sort(jobs.begin(), jobs.end());
+    jobs.erase(std::unique(jobs.begin(), jobs.end()), jobs.end());
+    if (jobs != channel.sub_jobs) {
+      channel.sub_jobs = std::move(jobs);
+      channel.subs_dirty = true;
     }
   }
 
@@ -172,8 +162,8 @@ ClusterHarness::DeliveryResult ClusterHarness::DeliverSample(size_t machine_inde
   if (fault_plane_->SampleBurstActive(static_cast<int>(machine_index))) {
     return DeliveryResult::kLost;  // ToR brownout: gone, not queued anywhere
   }
-  if (options_.sample_drop_rate > 0.0 && drop_rng_.Bernoulli(options_.sample_drop_rate)) {
-    return DeliveryResult::kLost;  // legacy uniform loss shim
+  if (fault_plane_->DrawSampleLost(static_cast<int>(machine_index))) {
+    return DeliveryResult::kLost;  // i.i.d. loss in flight
   }
   if (fault_plane_->AggregatorDown()) {
     return DeliveryResult::kUnavailable;  // agent keeps it and backs off
@@ -218,21 +208,7 @@ BatchDeliveryOutcome ClusterHarness::DeliverBatch(size_t machine_index,
   return outcome;
 }
 
-void ClusterHarness::DeliverSpec(const CpiSpec& spec) {
-  const auto it = channels_by_platform_.find(spec.platforminfo);
-  if (it == channels_by_platform_.end()) {
-    return;
-  }
-  for (size_t i : it->second) {
-    if (fault_plane_->AgentDown(static_cast<int>(i))) {
-      continue;  // dead process: this push is gone for this machine
-    }
-    channels_[i].agent->UpdateSpec(spec, cluster_.now());
-    ++spec_pushes_delivered_;
-  }
-}
-
-void ClusterHarness::DeliverSpecTiered(const CpiSpec& spec, uint64_t version) {
+void ClusterHarness::FanOutSpec(const CpiSpec& spec, uint64_t version) {
   const auto it = subscribers_by_job_.find(spec.jobname);
   if (it == subscribers_by_job_.end()) {
     return;
@@ -264,19 +240,11 @@ void ClusterHarness::OnSpecPush(const CpiSpec& spec, uint64_t version) {
         DelayedPush{cluster_.now() + fault_plane_->options().spec_push_delay, spec, version});
     return;
   }
-  DeliverPush(spec, version);
+  FanOutSpec(spec, version);
   if (fault_plane_->DrawSpecPushDuplicated()) {
-    // Idempotent either way: a flat agent just restamps the same spec, and
-    // a tiered subscriber already holds `version`, so its fan-out is a no-op.
-    DeliverPush(spec, version);
-  }
-}
-
-void ClusterHarness::DeliverPush(const CpiSpec& spec, uint64_t version) {
-  if (hier_aggregator_ != nullptr) {
-    DeliverSpecTiered(spec, version);
-  } else {
-    DeliverSpec(spec);
+    // Idempotent: every subscriber the first copy reached already holds
+    // `version`, so the duplicate's fan-out is a no-op.
+    FanOutSpec(spec, version);
   }
 }
 
@@ -312,8 +280,7 @@ void ClusterHarness::UpdateSubscriptions(size_t i) {
 void ClusterHarness::CatchUpChannel(size_t i, MicroTime now) {
   AgentChannel& channel = channels_[i];
   for (const std::string& job : channel.registered_jobs) {
-    const auto latest =
-        hier_aggregator_->LatestSpec(job, channel.machine->platform().name);
+    const auto latest = AggregatorLatestSpec(job, channel.machine->platform().name);
     if (!latest.has_value()) {
       continue;  // nothing built for this job yet
     }
@@ -326,6 +293,12 @@ void ClusterHarness::CatchUpChannel(size_t i, MicroTime now) {
     ++spec_pushes_delivered_;
   }
   channel.needs_catchup = false;
+}
+
+std::optional<VersionedSpec> ClusterHarness::AggregatorLatestSpec(
+    const std::string& jobname, const std::string& platforminfo) const {
+  return hier_aggregator_ != nullptr ? hier_aggregator_->LatestSpec(jobname, platforminfo)
+                                     : aggregator_.LatestSpec(jobname, platforminfo);
 }
 
 void ClusterHarness::AggregatorAddSample(size_t machine_index, const CpiSample& sample) {
@@ -358,8 +331,8 @@ Status ClusterHarness::AggregatorRestore(const std::string& blob) {
 
 std::optional<CpiSpec> ClusterHarness::GetSpec(const std::string& jobname,
                                                const std::string& platforminfo) const {
-  return hier_aggregator_ != nullptr ? hier_aggregator_->GetSpec(jobname, platforminfo)
-                                     : aggregator_.GetSpec(jobname, platforminfo);
+  const auto latest = AggregatorLatestSpec(jobname, platforminfo);
+  return latest ? std::optional<CpiSpec>(latest->spec) : std::nullopt;
 }
 
 void ClusterHarness::RestartAgent(AgentChannel& channel, MicroTime now) {
@@ -377,13 +350,11 @@ void ClusterHarness::RestartAgent(AgentChannel& channel, MicroTime now) {
   // The restarted process has an empty task registry; force a full resync
   // on its next tick even if the machine's membership has not changed.
   channel.synced_membership = AgentChannel::kNeverSynced;
-  if (hier_aggregator_ != nullptr) {
-    // Versioned invalidation: the new process holds no specs, so every
-    // delivered version is void. The catch-up pass re-pushes current specs
-    // for its subscriptions once the agent is back up.
-    channel.delivered_versions.clear();
-    channel.needs_catchup = true;
-  }
+  // Versioned invalidation: the new process holds no specs, so every
+  // delivered version is void. The catch-up pass re-pushes current specs
+  // for its subscriptions once the agent is back up.
+  channel.delivered_versions.clear();
+  channel.needs_catchup = true;
 }
 
 void ClusterHarness::OnTick(MicroTime now) {
@@ -391,7 +362,7 @@ void ClusterHarness::OnTick(MicroTime now) {
   // apply the transitions that must precede agent ticking.
   fault_plane_->BeginTick(now);
   while (!delayed_pushes_.empty() && delayed_pushes_.front().due <= now) {
-    DeliverPush(delayed_pushes_.front().spec, delayed_pushes_.front().version);
+    FanOutSpec(delayed_pushes_.front().spec, delayed_pushes_.front().version);
     delayed_pushes_.pop_front();
   }
   for (size_t i = 0; i < channels_.size(); ++i) {
@@ -407,6 +378,12 @@ void ClusterHarness::OnTick(MicroTime now) {
     const Status restored = AggregatorRestore(blob);
     if (restored.ok()) {
       ++aggregator_restores_;
+      // The restored aggregator counts builds from the checkpoint again, so
+      // its next build may reuse a version it issued before the crash: void
+      // every delivered version so that build is not suppressed.
+      for (AgentChannel& channel : channels_) {
+        channel.delivered_versions.clear();
+      }
     } else {
       CPI2_LOG(WARNING) << "aggregator restore failed: " << restored.message();
     }
@@ -434,8 +411,8 @@ void ClusterHarness::OnTick(MicroTime now) {
     }
   }
   // Merge phase: flush outboxes and drain buffered incidents in machine
-  // order, so drop_rng_/ack draws, sample counts, and log order match a
-  // serial run.
+  // order, so loss/ack draws, sample counts, and log order match a serial
+  // run.
   for (size_t i = 0; i < channels_.size(); ++i) {
     AgentChannel& channel = channels_[i];
     if (!fault_plane_->AgentDown(static_cast<int>(i))) {
@@ -453,14 +430,12 @@ void ClusterHarness::OnTick(MicroTime now) {
   if (!fault_plane_->AggregatorDown()) {
     AggregatorTick(now);
   }
-  if (hier_aggregator_ != nullptr) {
-    // Catch-up after the tick (and any build it ran): a machine that just
-    // subscribed or restarted leaves this phase holding the newest spec of
-    // every job it runs.
-    for (size_t i = 0; i < channels_.size(); ++i) {
-      if (channels_[i].needs_catchup && !fault_plane_->AgentDown(static_cast<int>(i))) {
-        CatchUpChannel(i, now);
-      }
+  // Catch-up after the tick (and any build it ran): a machine that just
+  // subscribed or restarted leaves this phase holding the newest spec of
+  // every job it runs.
+  for (size_t i = 0; i < channels_.size(); ++i) {
+    if (channels_[i].needs_catchup && !fault_plane_->AgentDown(static_cast<int>(i))) {
+      CatchUpChannel(i, now);
     }
   }
 }

@@ -10,15 +10,23 @@
 // Cluster::Options::threads). Each machine's samples queue in the agent's
 // bounded outbox during the parallel phase and are flushed into the
 // aggregator — and incidents drained into the incident log — in machine
-// order afterwards, so sample loss (drop_rng_), sample counts, and incident
+// order afterwards, so sample-loss draws, sample counts, and incident
 // sequences are bit-identical for any thread count.
+//
+// Spec push-back is subscription fan-out on both aggregation paths: a
+// machine subscribes to the jobs it runs, a rebuilt spec goes only to the
+// subscribers on its platform that do not hold its version yet, and a new
+// or restarted subscriber catches up to the current spec of each of its
+// jobs (the paper's "pushes predicted CPI distributions back to every
+// machine running tasks of that job").
 //
 // A FaultPlane sits at every pipeline boundary (Options::faults): agent
 // crash/restart, aggregator outage windows with optional checkpoint/restore,
-// spec-push loss/delay/duplication, per-machine sample-loss bursts, ack
-// loss, and counter glitches (via a FlakyCounterSource wrapped around each
-// machine's counters). With every fault rate at zero the harness behaves —
-// bit for bit — like the fault plane does not exist.
+// spec-push loss/delay/duplication, per-machine sample-loss bursts and
+// i.i.d. sample loss, ack loss, and counter glitches (via a
+// FlakyCounterSource wrapped around each machine's counters). With every
+// fault rate at zero the harness behaves — bit for bit — like the fault
+// plane does not exist.
 //
 // This is the substrate for the integration tests, every figure harness in
 // bench/, and examples/cluster_sim.
@@ -39,7 +47,6 @@
 #include "sim/cluster.h"
 #include "sim/fault_plane.h"
 #include "sim/trace.h"
-#include "util/rng.h"
 
 namespace cpi2 {
 
@@ -68,11 +75,6 @@ class ClusterHarness {
   struct Options {
     Cluster::Options cluster;
     Cpi2Params params;
-    // Legacy shim: uniform fraction of samples lost on the way to the
-    // aggregator. Kept for compatibility with older experiments; the fault
-    // plane's per-machine loss bursts (faults.sample_burst_*) model the
-    // heavier-tailed reality. Both may be active at once.
-    double sample_drop_rate = 0.0;
     // Fault-injection config. `faults.seed` is overridden with
     // cluster.seed, so one knob reseeds the whole experiment.
     FaultPlane::Options faults;
@@ -158,7 +160,7 @@ class ClusterHarness {
     // unchanged the per-tick reconciliation scan is skipped.
     uint64_t synced_membership = kNeverSynced;
 
-    // --- subscription fan-out state (tiered path only) ---------------------
+    // --- subscription fan-out state ----------------------------------------
     // Jobs this machine currently runs, sorted unique — recomputed in
     // TickChannel whenever the membership sync runs (parallel phase, own
     // channel only) and folded into the global subscription index in the
@@ -168,14 +170,14 @@ class ClusterHarness {
     std::vector<std::string> registered_jobs;
     // Last spec version delivered to this machine, per job. Cleared on
     // restart — the versioned invalidation that makes a restarted agent
-    // resubscribe and catch up instead of running on a stale (or no) spec.
+    // resubscribe and catch up instead of running on a stale (or no) spec —
+    // and on aggregator restore, after which versions may repeat.
     std::map<std::string, uint64_t> delivered_versions;
     bool subs_dirty = false;     // sub_jobs changed; index update pending
     bool needs_catchup = false;  // deliver current specs at next serial phase
   };
 
-  // A spec push the fault plane delayed in flight, with its OnSpecPush
-  // version.
+  // A spec push the fault plane delayed in flight, with its build version.
   struct DelayedPush {
     MicroTime due = 0;
     CpiSpec spec;
@@ -203,35 +205,30 @@ class ClusterHarness {
     kLost,         // dropped in flight (network loss); do not retry
     kUnavailable,  // pipeline unreachable; keep the sample and retry later
   };
-  // DeliverBatch's per-sample fault step. Applies, in order: burst loss, the
-  // uniform sample_drop_rate, aggregator outage (retryable), then hands the
+  // DeliverBatch's per-sample fault step. Applies, in order: burst loss,
+  // i.i.d. sample loss, aggregator outage (retryable), then hands the
   // sample to the aggregator; a lost ack after acceptance reports
   // kUnavailable so the agent retries (and dedup absorbs the duplicate).
   DeliveryResult DeliverSample(size_t machine_index, const CpiSample& sample);
 
-  // The fault step of one spec push, on either aggregation path. Draw
-  // order: lost, delayed, duplicated. `version` is the tiered build version
-  // (0 on the flat path).
+  // The fault step of one spec push, with the build version that produced
+  // the spec. Draw order: lost, delayed, duplicated.
   void OnSpecPush(const CpiSpec& spec, uint64_t version);
-  // Hands a push that survived the fault step to the agents: the flat
-  // path's platform broadcast or the tiered path's subscription fan-out.
-  void DeliverPush(const CpiSpec& spec, uint64_t version);
-  // Hands `spec` to every up agent on its platform (flat path: a platform
-  // broadcast).
-  void DeliverSpec(const CpiSpec& spec);
   // Subscription fan-out: hands `spec` only to the up agents subscribed to
   // its job (on the matching platform) that have not seen `version` yet.
-  void DeliverSpecTiered(const CpiSpec& spec, uint64_t version);
+  void FanOutSpec(const CpiSpec& spec, uint64_t version);
   // Serial merge phase: reconciles subscribers_by_job_ with channel i's
   // recomputed sub_jobs.
   void UpdateSubscriptions(size_t i);
   // Serial catch-up: delivers the current spec of every job channel i
-  // subscribes to whose version it has not seen (new subscription, agent
-  // restart, or merger restore). No fault-plane draws — this models the
-  // subscriber pulling state it knows it lacks, not a push in flight.
+  // subscribes to whose version it has not seen (new subscription or agent
+  // restart). No fault-plane draws — this models the subscriber pulling
+  // state it knows it lacks, not a push in flight.
   void CatchUpChannel(size_t i, MicroTime now);
 
   // Aggregation-path dispatch helpers (flat vs tiered).
+  std::optional<VersionedSpec> AggregatorLatestSpec(const std::string& jobname,
+                                                    const std::string& platforminfo) const;
   void AggregatorAddSample(size_t machine_index, const CpiSample& sample);
   void AggregatorTick(MicroTime now);
   std::string AggregatorCheckpoint() const;
@@ -250,20 +247,14 @@ class ClusterHarness {
   std::unique_ptr<HierarchicalAggregator> hier_aggregator_;
   IncidentLog incident_log_;
   TraceRecorder traces_;
-  // Seeded from cluster.seed so experiments reseed with one knob; the xor
-  // keeps seed=0 on the historical 0x5eed stream.
-  Rng drop_rng_;
   std::unique_ptr<FaultPlane> fault_plane_;
   // Per-machine counter-glitch decorators (only populated when any counter
   // fault rate is non-zero); parallel to channels_.
   std::vector<std::unique_ptr<FlakyCounterSource>> flaky_sources_;
   std::map<std::string, std::unique_ptr<Agent>> agents_;  // by machine name
   std::vector<AgentChannel> channels_;                    // machine order
-  // Channel indices grouped by platform, so spec push-back only visits
-  // machines the spec applies to instead of broadcasting cluster-wide.
-  std::map<std::string, std::vector<size_t>> channels_by_platform_;
-  // Subscription index (tiered path): channel indices subscribed to each
-  // job, kept sorted so fan-out visits machines in machine order.
+  // Subscription index: channel indices subscribed to each job, kept
+  // sorted so fan-out visits machines in machine order.
   std::map<std::string, std::vector<size_t>> subscribers_by_job_;
   std::deque<DelayedPush> delayed_pushes_;  // due-time order (FIFO insert)
   // Decode scratch for DeliverBatch (merge phase only): element and string

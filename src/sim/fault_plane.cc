@@ -25,7 +25,8 @@ FaultPlane::FaultPlane(const Options& options, int machines)
 bool FaultPlane::AnyFaultsEnabled() const {
   return options_.agent_crash_per_tick > 0 || options_.aggregator_outage_period > 0 ||
          options_.spec_push_loss_rate > 0 || options_.spec_push_duplicate_rate > 0 ||
-         options_.spec_push_delay_rate > 0 || options_.sample_burst_per_tick > 0 ||
+         options_.spec_push_delay_rate > 0 || options_.sample_loss_rate > 0 ||
+         options_.sample_burst_per_tick > 0 ||
          options_.ack_loss_rate > 0 || options_.wire_corrupt_rate > 0 ||
          options_.counter_zero_rate > 0 ||
          options_.counter_garbage_rate > 0 || options_.counter_stuck_rate > 0;
@@ -105,59 +106,37 @@ void FaultPlane::BeginTick(MicroTime now) {
   }
 }
 
-bool FaultPlane::DrawAckLost(int machine) {
-  if (options_.ack_loss_rate <= 0) {
+bool FaultPlane::Draw(Rng& rng, double rate, int64_t* count) {
+  // Rate 0 draws nothing, so a disabled fault never shifts its stream.
+  if (rate <= 0 || !rng.Bernoulli(rate)) {
     return false;
   }
-  const bool lost = machines_[machine].rng.Bernoulli(options_.ack_loss_rate);
-  if (lost) {
-    ++stats_.acks_lost;
-  }
-  return lost;
+  ++*count;
+  return true;
+}
+
+bool FaultPlane::DrawSampleLost(int machine) {
+  return Draw(machines_[machine].rng, options_.sample_loss_rate, &stats_.samples_lost);
+}
+
+bool FaultPlane::DrawAckLost(int machine) {
+  return Draw(machines_[machine].rng, options_.ack_loss_rate, &stats_.acks_lost);
 }
 
 bool FaultPlane::DrawWireCorrupt(int machine) {
-  if (options_.wire_corrupt_rate <= 0) {
-    return false;
-  }
-  const bool corrupted = machines_[machine].rng.Bernoulli(options_.wire_corrupt_rate);
-  if (corrupted) {
-    ++stats_.batches_corrupted;
-  }
-  return corrupted;
+  return Draw(machines_[machine].rng, options_.wire_corrupt_rate, &stats_.batches_corrupted);
 }
 
 bool FaultPlane::DrawSpecPushLost() {
-  if (options_.spec_push_loss_rate <= 0) {
-    return false;
-  }
-  const bool lost = spec_rng_.Bernoulli(options_.spec_push_loss_rate);
-  if (lost) {
-    ++stats_.spec_pushes_lost;
-  }
-  return lost;
+  return Draw(spec_rng_, options_.spec_push_loss_rate, &stats_.spec_pushes_lost);
 }
 
 bool FaultPlane::DrawSpecPushDelayed() {
-  if (options_.spec_push_delay_rate <= 0) {
-    return false;
-  }
-  const bool delayed = spec_rng_.Bernoulli(options_.spec_push_delay_rate);
-  if (delayed) {
-    ++stats_.spec_pushes_delayed;
-  }
-  return delayed;
+  return Draw(spec_rng_, options_.spec_push_delay_rate, &stats_.spec_pushes_delayed);
 }
 
 bool FaultPlane::DrawSpecPushDuplicated() {
-  if (options_.spec_push_duplicate_rate <= 0) {
-    return false;
-  }
-  const bool duplicated = spec_rng_.Bernoulli(options_.spec_push_duplicate_rate);
-  if (duplicated) {
-    ++stats_.spec_pushes_duplicated;
-  }
-  return duplicated;
+  return Draw(spec_rng_, options_.spec_push_duplicate_rate, &stats_.spec_pushes_duplicated);
 }
 
 void FaultPlane::InjectAgentCrash(int machine, MicroTime restart_delay) {

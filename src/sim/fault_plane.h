@@ -11,9 +11,9 @@
 //     periodic schedule (deploys, failovers); optionally it also loses its
 //     in-memory state at outage start (crash, not just partition),
 //   - spec-push faults: a pushed spec is lost, delayed, or duplicated,
-//   - per-machine sample-loss bursts: a ToR switch brownout drops every
-//     sample a machine emits for a while (heavier-tailed than the legacy
-//     uniform drop knob, which ClusterHarness keeps as a shim),
+//   - sample loss: i.i.d. per-sample loss in flight, and per-machine loss
+//     bursts (a ToR switch brownout drops every sample a machine emits for
+//     a while, a heavier-tailed pattern),
 //   - ack loss: delivery succeeded but the acknowledgement did not, so the
 //     agent retries and the aggregator must deduplicate,
 //   - counter glitches: rates handed to perf/FlakyCounterSource.
@@ -72,6 +72,10 @@ class FaultPlane {
     MicroTime spec_push_delay = 30 * kMicrosPerSecond;
 
     // --- sample transport -------------------------------------------------
+    // Probability that a delivered sample is lost in flight, drawn per
+    // sample from the machine's own stream. Independent of bursts; both
+    // may be active at once.
+    double sample_loss_rate = 0.0;
     // Per machine, per tick probability that a loss burst starts; while a
     // burst is active every sample the machine delivers is lost.
     double sample_burst_per_tick = 0.0;
@@ -99,6 +103,7 @@ class FaultPlane {
     int64_t aggregator_outages = 0;
     int64_t aggregator_outage_ticks = 0;
     int64_t sample_bursts = 0;
+    int64_t samples_lost = 0;
     int64_t spec_pushes_lost = 0;
     int64_t spec_pushes_delayed = 0;
     int64_t spec_pushes_duplicated = 0;
@@ -133,6 +138,9 @@ class FaultPlane {
   bool CheckpointDue() const { return checkpoint_due_; }
 
   // --- serial-phase draws ------------------------------------------------
+  // Per-sample loss draw for `machine` (merge phase, machine order), before
+  // the sample reaches the aggregator; draws from that machine's stream.
+  bool DrawSampleLost(int machine);
   // Per-sample ack-loss draw for `machine`. Only call from the merge phase
   // (machine order); draws from that machine's stream.
   bool DrawAckLost(int machine);
@@ -158,7 +166,7 @@ class FaultPlane {
 
  private:
   struct MachineState {
-    Rng rng;                         // crash/burst/ack draws for this machine
+    Rng rng;                         // crash/burst/loss/ack draws for this machine
     MicroTime agent_down_until = 0;  // 0 = agent up
     MicroTime burst_until = 0;
     MicroTime pending_crash_delay = -2;  // >= -1: a manual crash is queued
@@ -168,6 +176,9 @@ class FaultPlane {
 
     explicit MachineState(Rng stream) : rng(stream) {}
   };
+
+  // One Bernoulli(rate) draw from `rng`, counted in `*count` when it hits.
+  static bool Draw(Rng& rng, double rate, int64_t* count);
 
   Options options_;
   std::vector<MachineState> machines_;

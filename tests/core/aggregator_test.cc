@@ -160,24 +160,66 @@ TEST(AggregatorCheckpointTest, V1BlobStillLoads) {
   EXPECT_EQ(spec->cpi_mean, 1.5);
   EXPECT_EQ(aggregator.builds_completed(), 1);
 
-  // A fresh checkpoint of the restored state is binary v3 and round-trips.
+  // A version-less spec is stamped with the checkpoint's build count.
+  EXPECT_EQ(aggregator.LatestSpec("job", "xeon")->version, 1u);
+
+  // A fresh checkpoint of the restored state is CPI2HAG2 and round-trips.
   const std::string rewritten = aggregator.Checkpoint();
-  EXPECT_EQ(rewritten.rfind("CPAGCKP3", 0), 0u);
+  EXPECT_EQ(rewritten.rfind("CPI2HAG2", 0), 0u);
   Aggregator again(SmallParams());
   ASSERT_TRUE(again.Restore(rewritten).ok());
   EXPECT_EQ(again.GetSpec("job", "xeon")->cpi_mean, 1.5);
+  EXPECT_EQ(again.LatestSpec("job", "xeon")->version, 1u);
 
-  // The text rendering of the same state is a v2 blob, and restoring either
-  // encoding yields a bit-identical aggregator. Rendering text must leave the
-  // binary writer's per-shard cache alone.
-  const std::string text_ckpt = aggregator.CheckpointText();
-  EXPECT_EQ(text_ckpt.rfind("cpi2-aggregator-ckpt-v2\n", 0), 0u) << text_ckpt;
-  EXPECT_EQ(aggregator.Checkpoint(), rewritten);
+  // The same state as a v2 text blob (v2 adds the W/D records) restores to
+  // a bit-identical aggregator.
+  const std::string v2 =
+      "cpi2-aggregator-ckpt-v2\n"
+      "M\t3600000000\t1\t30\n"
+      "W\t0\n"
+      "H\tjob\txeon\t30\t1.5\t0.25\t0.5\n"
+      "S\tjob\txeon\t30\t0.5\t1.5\t0.09128709291752768\n";
   Aggregator from_text(SmallParams());
-  Aggregator from_binary(SmallParams());
-  ASSERT_TRUE(from_text.Restore(text_ckpt).ok());
-  ASSERT_TRUE(from_binary.Restore(rewritten).ok());
-  EXPECT_EQ(from_text.Checkpoint(), from_binary.Checkpoint());
+  ASSERT_TRUE(from_text.Restore(v2).ok());
+  EXPECT_EQ(from_text.Checkpoint(), rewritten);
+}
+
+TEST(AggregatorTest, SpecVersionsCountBuildsAndSeeds) {
+  Aggregator aggregator(SmallParams());
+  Feed(aggregator, 3, 5, 1.5);
+  (void)aggregator.ForceBuild(0);
+  ASSERT_TRUE(aggregator.LatestSpec("job", "xeon").has_value());
+  EXPECT_EQ(aggregator.LatestSpec("job", "xeon")->version, 1u);
+  (void)aggregator.ForceBuild(kMicrosPerHour);  // nothing new: "job" keeps build 1's spec
+  EXPECT_EQ(aggregator.LatestSpec("job", "xeon")->version, 1u);
+  Feed(aggregator, 3, 5, 1.5);
+  (void)aggregator.ForceBuild(2 * kMicrosPerHour);
+  EXPECT_EQ(aggregator.LatestSpec("job", "xeon")->version, 3u);
+  EXPECT_EQ(aggregator.LatestSpec("job", "xeon")->spec.cpi_mean,
+            aggregator.GetSpec("job", "xeon")->cpi_mean);
+
+  // A seeded spec takes the next version, and the next build goes past it.
+  CpiSpec seeded;
+  seeded.jobname = "seeded";
+  seeded.platforminfo = "xeon";
+  seeded.num_samples = 40;
+  seeded.cpi_mean = 2.0;
+  seeded.cpi_stddev = 0.1;
+  aggregator.builder().SeedHistory(seeded);
+  EXPECT_EQ(aggregator.LatestSpec("seeded", "xeon")->version, 4u);
+  Feed(aggregator, 3, 5, 1.5);
+  (void)aggregator.ForceBuild(3 * kMicrosPerHour);
+  EXPECT_EQ(aggregator.LatestSpec("job", "xeon")->version, 5u);
+
+  // Versions survive a checkpoint round trip, and the restored aggregator
+  // continues the count.
+  Aggregator restored(SmallParams());
+  ASSERT_TRUE(restored.Restore(aggregator.Checkpoint()).ok());
+  EXPECT_EQ(restored.LatestSpec("seeded", "xeon")->version, 4u);
+  EXPECT_EQ(restored.LatestSpec("job", "xeon")->version, 5u);
+  Feed(restored, 3, 5, 1.5);
+  (void)restored.ForceBuild(4 * kMicrosPerHour);
+  EXPECT_EQ(restored.LatestSpec("job", "xeon")->version, 6u);
 }
 
 TEST(AggregatorTest, RepeatedBuildsAgeWeightHistory) {

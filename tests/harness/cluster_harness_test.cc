@@ -82,7 +82,7 @@ TEST(ClusterHarnessTest, SpecsStillBuildUnderSampleLoss) {
   // Figure 6's pipeline tolerates collection loss: detection is local, and
   // spec building just needs more wall time for the same sample count.
   ClusterHarness::Options options = SmallOptions();
-  options.sample_drop_rate = 0.3;
+  options.faults.sample_loss_rate = 0.3;
   ClusterHarness harness(options);
   harness.cluster().AddMachines(ReferencePlatform(), 5);
   harness.cluster().BuildScheduler();

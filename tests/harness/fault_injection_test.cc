@@ -1,7 +1,8 @@
 // Fault-plane integration: injected faults flow through the harness, the
-// drop stream follows the cluster seed (with the historical stream pinned at
-// seed 0), and an agent that crashes mid-run comes back cold and only
-// resumes detection after the next spec push.
+// i.i.d. sample-loss stream follows the cluster seed, and an agent that
+// crashes mid-run comes back cold: it catches up to the current spec at
+// once, but detects nothing until its fresh detector has seen enough
+// outliers again.
 
 #include <gtest/gtest.h>
 
@@ -15,13 +16,17 @@
 namespace cpi2 {
 namespace {
 
-// The scenario the legacy pinned value was captured on (same construction
-// the pre-fault-plane harness ran with its hard-coded Rng(0x5eed)).
-int64_t LegacyDropScenarioSamples(uint64_t cluster_seed) {
+struct LossRun {
+  int64_t samples_collected = 0;
+  ClusterHealthReport health;
+};
+
+// Four machines under 25% i.i.d. sample loss for ten minutes.
+LossRun RunUnderSampleLoss(uint64_t cluster_seed) {
   ClusterHarness::Options options;
   options.cluster.seed = cluster_seed;
   options.params = FastTestParams();
-  options.sample_drop_rate = 0.25;
+  options.faults.sample_loss_rate = 0.25;
   ClusterHarness harness(options);
   const int kMachines = 4;
   harness.cluster().AddMachines(ReferencePlatform(), kMachines);
@@ -33,19 +38,21 @@ int64_t LegacyDropScenarioSamples(uint64_t cluster_seed) {
   }
   harness.WireAgents();
   harness.RunFor(10 * kMicrosPerMinute);
-  return harness.samples_collected();
-}
-
-TEST(FaultInjectionTest, LegacyDropStreamPinnedAtSeedZero) {
-  // drop_rng_ is now derived as cluster.seed ^ 0x5eed, so seed 0 must
-  // reproduce the historical hard-coded Rng(0x5eed) stream exactly. This
-  // value was captured on the pre-change harness; do not update it without
-  // understanding what moved.
-  EXPECT_EQ(LegacyDropScenarioSamples(/*cluster_seed=*/0), 60);
+  return {harness.samples_collected(), harness.Health()};
 }
 
 TEST(FaultInjectionTest, DropStreamFollowsClusterSeed) {
-  EXPECT_NE(LegacyDropScenarioSamples(/*cluster_seed=*/1), 60);
+  const LossRun seed0 = RunUnderSampleLoss(/*cluster_seed=*/0);
+  const LossRun again = RunUnderSampleLoss(/*cluster_seed=*/0);
+  const LossRun seed1 = RunUnderSampleLoss(/*cluster_seed=*/1);
+  // Every loss is drawn from the fault plane and counted on both sides.
+  EXPECT_GT(seed0.health.faults.samples_lost, 0);
+  EXPECT_EQ(seed0.health.faults.samples_lost, seed0.health.agents.samples_lost);
+  EXPECT_EQ(seed0.samples_collected, seed0.health.agents.samples_delivered);
+  // Same seed, same draws; another seed, another stream.
+  EXPECT_EQ(again.samples_collected, seed0.samples_collected);
+  EXPECT_EQ(again.health.faults.samples_lost, seed0.health.faults.samples_lost);
+  EXPECT_NE(seed1.health.faults.samples_lost, seed0.health.faults.samples_lost);
 }
 
 TEST(FaultInjectionTest, AgentRestartComesBackColdThenResumes) {
@@ -61,21 +68,34 @@ TEST(FaultInjectionTest, AgentRestartComesBackColdThenResumes) {
   ASSERT_GT(agent->incidents_reported(), 0) << "scenario must detect before the crash";
   ASSERT_TRUE(agent->GetSpec("websearch-leaf").has_value());
 
+  // Down for the default 5 s restart delay, then back.
   ASSERT_TRUE(harness.InjectAgentCrash(scenario.victim_machine).ok());
-  harness.RunFor(10 * kMicrosPerMinute);
-
-  // The restarted process lost its spec cache: with the antagonist still
-  // thrashing the victim, it must not fire a single incident on dead memory.
+  harness.RunFor(10 * kMicrosPerSecond);
   EXPECT_EQ(agent->health().restarts, 1);
-  EXPECT_FALSE(agent->GetSpec("websearch-leaf").has_value());
-  EXPECT_EQ(agent->incidents_reported(), 0);
-  EXPECT_GT(agent->samples_processed(), 0) << "sampling must resume after restart";
 
-  // The next spec push re-primes it and detection resumes.
-  harness.aggregator().ForceBuild(harness.now());
-  EXPECT_TRUE(agent->GetSpec("websearch-leaf").has_value());
-  harness.RunFor(10 * kMicrosPerMinute);
-  EXPECT_GT(agent->incidents_reported(), 0);
+  // The restarted process subscribed again and caught up to the
+  // aggregator's current spec at once; no build ran meanwhile.
+  const auto caught_up = agent->GetSpec("websearch-leaf");
+  const auto current = harness.aggregator().GetSpec("websearch-leaf", ReferencePlatform().name);
+  ASSERT_TRUE(caught_up.has_value());
+  ASSERT_TRUE(current.has_value());
+  EXPECT_EQ(caught_up->num_samples, current->num_samples);
+  EXPECT_EQ(caught_up->cpi_mean, current->cpi_mean);
+
+  // Its detector is cold: with the antagonist still thrashing the victim,
+  // no incident fires until the fresh detector has flagged >= 3 outliers.
+  int64_t outliers_at_first_incident = -1;
+  for (int second = 0; second < 10 * 60; ++second) {
+    harness.RunFor(kMicrosPerSecond);
+    if (agent->incidents_reported() > 0) {
+      outliers_at_first_incident = agent->outliers_flagged();
+      break;
+    }
+  }
+  EXPECT_GT(agent->samples_processed(), 0) << "sampling must resume after restart";
+  ASSERT_GE(outliers_at_first_incident, 0) << "detection must resume after restart";
+  EXPECT_GE(outliers_at_first_incident, 3);
+  EXPECT_EQ(agent->health().restarts, 1);
 }
 
 TEST(FaultInjectionTest, RestartReconcilesLeftoverCaps) {

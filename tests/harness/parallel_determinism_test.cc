@@ -1,6 +1,6 @@
 // Determinism of the parallel tick engine: a seeded cluster scenario must
 // produce bit-identical results for any thread count. Cross-machine effects
-// (samples into the aggregator, incidents into the log, drop_rng_ draws) are
+// (samples into the aggregator, incidents into the log, sample-loss draws) are
 // buffered per machine and merged in machine order, so threads=1 and
 // threads=4 runs may differ only in wall-clock time.
 
@@ -121,7 +121,6 @@ RunResult RunScenario(int threads, bool with_faults = false, int spec_shards = -
   if (spec_shards > 0) {
     options.params.spec_shards = spec_shards;
   }
-  options.sample_drop_rate = 0.15;  // exercises the drop_rng_ merge path
   if (with_faults) {
     options.params.spec_staleness_ttl = 5 * kMicrosPerMinute;
     options.params.sample_dedup_window = 2 * kMicrosPerMinute;
@@ -133,6 +132,7 @@ RunResult RunScenario(int threads, bool with_faults = false, int spec_shards = -
     options.params.min_samples_per_task = 2;
     options.faults = AllFaultsActive();
   }
+  options.faults.sample_loss_rate = 0.15;  // exercises the merge-phase loss draws
   options.faults.wire_corrupt_rate = wire_corrupt_rate;
   ClusterHarness harness(options);
 

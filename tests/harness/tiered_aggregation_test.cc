@@ -9,9 +9,11 @@
 //     the same num_samples, and the same values up to sketch quantization
 //     (~2^-20 relative) as the flat Aggregator on the identical scenario.
 //
-// TieredAggregationTest covers the behaviors that have no flat analogue:
-// subscription fan-out, restart resubscription, dead-cell rollups, and the
-// CPI2HAG1 checkpoint.
+// TieredAggregationTest covers subscription fan-out (on both paths),
+// restart resubscription, dead-cell rollups, and the tiered checkpoint.
+// FlatSpecFanoutTest covers the flat path's spec versions in fan-out: specs
+// that come back from a crash restore, from a legacy checkpoint, or from
+// SeedHistory still reach new and restarted subscribers.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +24,7 @@
 #include "harness/cluster_harness.h"
 #include "tests/testing/scenario.h"
 #include "util/string_util.h"
+#include "wire/framing.h"
 #include "workload/profiles.h"
 
 namespace cpi2 {
@@ -132,12 +135,12 @@ RunResult RunTiered(int threads, int cells, bool with_faults) {
   options.params.min_samples_per_task = 2;
   options.params.flat_aggregation_path = (cells <= 0);
   options.params.aggregation_cells = cells > 0 ? cells : 1;
-  options.sample_drop_rate = 0.15;
   if (with_faults) {
     options.params.spec_staleness_ttl = 5 * kMicrosPerMinute;
     options.params.sample_dedup_window = 2 * kMicrosPerMinute;
     options.faults = AllFaultsActive();
   }
+  options.faults.sample_loss_rate = 0.15;
   ClusterHarness harness(options);
 
   const int kMachines = 8;
@@ -276,10 +279,10 @@ TEST(ParallelDeterminismTest, TieredMatchesFlatWithinQuantization) {
 TEST(ParallelDeterminismTest, TieredMatchesFlatUnderFaults) {
   // Under the full fault matrix the two paths draw the identical fault-RNG
   // sequence (one draw set per spec push, same spec order per build), so
-  // the sample pipeline stays exactly comparable. Delivery TIMING differs —
-  // versioned catch-up redelivers where the flat path waits for the next
-  // broadcast — so incidents and staleness counters are out of scope here;
-  // the spec math itself must still agree.
+  // the sample pipeline stays exactly comparable. Spec values differ in the
+  // last bits, which can flip a borderline outlier, so incidents and
+  // staleness counters are out of scope here; the spec math itself must
+  // still agree.
   const RunResult flat = RunTiered(/*threads=*/4, /*cells=*/0, /*with_faults=*/true);
   const RunResult tiered = RunTiered(/*threads=*/4, /*cells=*/4, /*with_faults=*/true);
   ASSERT_GT(flat.samples_collected, 0);
@@ -298,9 +301,9 @@ TEST(ParallelDeterminismTest, TieredMatchesFlatUnderFaults) {
 // Tiered-only behavior.
 
 TEST(TieredAggregationTest, SubscriptionFanoutSkipsUninterestedMachines) {
-  // websearch runs everywhere; "special-svc" only on machines 0-2. The flat
-  // path broadcasts its spec to all 8 machines; subscription fan-out must
-  // touch only the 3 subscribers.
+  // websearch runs everywhere; "special-svc" only on machines 0-2. On both
+  // aggregation paths subscription fan-out must hand its spec to those 3
+  // subscribers and to no other machine.
   auto run = [](bool flat) {
     ClusterHarness::Options options;
     options.cluster.seed = 11;
@@ -326,13 +329,16 @@ TEST(TieredAggregationTest, SubscriptionFanoutSkipsUninterestedMachines) {
     harness.WireAgents();
     harness.PrimeSpecs(12 * kMicrosPerMinute);
     harness.RunFor(12 * kMicrosPerMinute);
-    EXPECT_TRUE(harness.GetSpec("special-svc", ReferencePlatform().name).has_value());
-    return harness.Health().spec_pushes_delivered;
+    const std::string label = flat ? "flat" : "tiered";
+    ASSERT_TRUE(harness.GetSpec("special-svc", ReferencePlatform().name).has_value()) << label;
+    for (int i = 0; i < kMachines; ++i) {
+      const Agent* agent = harness.agent(harness.cluster().machine(static_cast<size_t>(i))->name());
+      EXPECT_EQ(agent->GetSpec("special-svc").has_value(), i < 3) << label << " machine " << i;
+      EXPECT_TRUE(agent->GetSpec("websearch-leaf").has_value()) << label << " machine " << i;
+    }
   };
-  const int64_t flat_pushes = run(/*flat=*/true);
-  const int64_t tiered_pushes = run(/*flat=*/false);
-  EXPECT_GT(tiered_pushes, 0);
-  EXPECT_LT(tiered_pushes, flat_pushes);
+  run(/*flat=*/true);
+  run(/*flat=*/false);
 }
 
 TEST(TieredAggregationTest, RestartedAgentResubscribesAndCatchesUp) {
@@ -369,6 +375,199 @@ TEST(TieredAggregationTest, RestartedAgentResubscribesAndCatchesUp) {
   const auto reference = harness.GetSpec("websearch-leaf", ReferencePlatform().name);
   ASSERT_TRUE(reference.has_value());
   EXPECT_EQ(caught_up->num_samples, reference->num_samples);
+}
+
+// ---------------------------------------------------------------------------
+// Flat-path spec versions in fan-out.
+
+// `machines` machines, each running one websearch-leaf task, on the flat
+// path with no rebuild after priming.
+std::unique_ptr<ClusterHarness> FlatFanoutHarness(int machines,
+                                                  const FaultPlane::Options& faults = {}) {
+  ClusterHarness::Options options;
+  options.cluster.seed = 17;
+  options.params = FastTestParams();
+  options.params.spec_update_interval = 60 * kMicrosPerMinute;
+  options.faults = faults;
+  auto harness = std::make_unique<ClusterHarness>(options);
+  harness->cluster().AddMachines(ReferencePlatform(), machines);
+  harness->cluster().BuildScheduler();
+  for (int i = 0; i < machines; ++i) {
+    (void)harness->cluster().machine(static_cast<size_t>(i))->AddTask(
+        StrFormat("websearch-leaf.%d", i), WebSearchLeafSpec());
+  }
+  harness->WireAgents();
+  return harness;
+}
+
+CpiSpec SpecialSvcSpec() {
+  CpiSpec spec;
+  spec.jobname = "special-svc";
+  spec.platforminfo = ReferencePlatform().name;
+  spec.num_samples = 600;
+  spec.cpu_usage_mean = 0.3;
+  spec.cpi_mean = 1.25;
+  spec.cpi_stddev = 0.125;
+  return spec;
+}
+
+// Starts a special-svc task on machine `index` and ticks once: the machine
+// subscribes to special-svc and catches up in that tick's serial phase.
+// Returns the spec its agent then holds.
+std::optional<CpiSpec> NewSubscriberSpec(ClusterHarness& harness, size_t index) {
+  TaskSpec task = FillerServiceSpec(0.3);
+  task.job_name = "special-svc";
+  EXPECT_TRUE(harness.cluster().machine(index)->AddTask("special-svc.new", task).ok());
+  harness.RunFor(kMicrosPerSecond);
+  return harness.agent(harness.cluster().machine(index)->name())->GetSpec("special-svc");
+}
+
+void ExpectSameSpec(const std::optional<CpiSpec>& got, const CpiSpec& want) {
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->num_samples, want.num_samples);
+  EXPECT_EQ(got->cpu_usage_mean, want.cpu_usage_mean);
+  EXPECT_EQ(got->cpi_mean, want.cpi_mean);
+  EXPECT_EQ(got->cpi_stddev, want.cpi_stddev);
+}
+
+TEST(FlatSpecFanoutTest, RestartedAgentCatchesUpToSpecRestoredAfterAggregatorCrash) {
+  // One aggregator crash, 14:00-14:30, restored from the checkpoint taken
+  // every minute.
+  FaultPlane::Options faults;
+  faults.aggregator_outage_period = 24 * kMicrosPerHour;
+  faults.aggregator_outage_duration = 30 * kMicrosPerSecond;
+  faults.aggregator_outage_phase = 14 * kMicrosPerMinute;
+  faults.aggregator_crash_on_outage = true;
+  faults.aggregator_checkpoint_interval = kMicrosPerMinute;
+  auto harness = FlatFanoutHarness(/*machines=*/8, faults);
+  harness->PrimeSpecs(12 * kMicrosPerMinute);
+  const std::string platform = ReferencePlatform().name;
+  const auto built = harness->aggregator().LatestSpec("websearch-leaf", platform);
+  ASSERT_TRUE(built.has_value());
+  EXPECT_EQ(built->version, 1u);
+
+  harness->RunFor(3 * kMicrosPerMinute);
+  ASSERT_EQ(harness->Health().aggregator_restores, 1);
+  const auto restored = harness->aggregator().LatestSpec("websearch-leaf", platform);
+  ASSERT_TRUE(restored.has_value());
+  EXPECT_EQ(restored->version, 1u) << "the version survives the restore";
+  ExpectSameSpec(restored->spec, built->spec);
+
+  // Kill one agent. Its restarted process catches up at once, from the
+  // restored aggregator, with no build in between.
+  const std::string victim = harness->cluster().machine(0)->name();
+  ASSERT_TRUE(harness->InjectAgentCrash(victim, 5 * kMicrosPerSecond).ok());
+  harness->RunFor(10 * kMicrosPerSecond);
+  EXPECT_EQ(harness->agent(victim)->health().restarts, 1);
+  EXPECT_EQ(harness->aggregator().builds_completed(), 1);
+  ExpectSameSpec(harness->agent(victim)->GetSpec("websearch-leaf"), restored->spec);
+}
+
+TEST(FlatSpecFanoutTest, SpecFromLegacyCheckpointReachesNewSubscriber) {
+  const CpiSpec spec = SpecialSvcSpec();
+  // The same state as a CPAGCKP3 blob (M and S records, specs without
+  // versions) and as a text v2 blob.
+  std::string binary = "CPAGCKP3";
+  std::string payload;
+  WireWriter meta(&payload);
+  meta.PutByte('M');
+  meta.PutZigzag(kMicrosPerMinute);
+  meta.PutVarint(3);
+  meta.PutVarint(600);
+  AppendFramedRecord(&binary, payload);
+  payload.clear();
+  WireWriter specs(&payload);
+  specs.PutByte('S');
+  specs.PutVarint(1);
+  specs.PutString(spec.jobname);
+  specs.PutString(spec.platforminfo);
+  specs.PutVarint(static_cast<uint64_t>(spec.num_samples));
+  specs.PutDouble(spec.cpu_usage_mean);
+  specs.PutDouble(spec.cpi_mean);
+  specs.PutDouble(spec.cpi_stddev);
+  AppendFramedRecord(&binary, payload);
+  const std::string text = StrFormat(
+      "cpi2-aggregator-ckpt-v2\nM\t60000000\t3\t600\nW\t0\nS\t%s\t%s\t600\t0.3\t1.25\t0.125\n",
+      spec.jobname.c_str(), spec.platforminfo.c_str());
+
+  for (const std::string& blob : {binary, text}) {
+    const std::string label = blob.substr(0, 8);
+    auto harness = FlatFanoutHarness(/*machines=*/4);
+    harness->RunFor(kMicrosPerMinute);
+    ASSERT_TRUE(harness->aggregator().Restore(blob).ok()) << label;
+    const auto restored = harness->aggregator().LatestSpec(spec.jobname, spec.platforminfo);
+    ASSERT_TRUE(restored.has_value()) << label;
+    EXPECT_EQ(restored->version, 3u) << label << ": stamped with the restored build count";
+
+    ExpectSameSpec(NewSubscriberSpec(*harness, 1), spec);
+    EXPECT_FALSE(harness->agent(harness->cluster().machine(0)->name())
+                     ->GetSpec("special-svc")
+                     .has_value())
+        << label << ": machine 0 does not run special-svc";
+  }
+}
+
+TEST(FlatSpecFanoutTest, SeededSpecReachesNewSubscriber) {
+  auto harness = FlatFanoutHarness(/*machines=*/4);
+  harness->PrimeSpecs(12 * kMicrosPerMinute);
+  const CpiSpec spec = SpecialSvcSpec();
+  harness->aggregator().builder().SeedHistory(spec);
+  const auto seeded = harness->aggregator().LatestSpec(spec.jobname, spec.platforminfo);
+  ASSERT_TRUE(seeded.has_value());
+  EXPECT_EQ(seeded->version, 2u) << "the seed takes the version after the priming build";
+
+  ExpectSameSpec(NewSubscriberSpec(*harness, 2), spec);
+  EXPECT_FALSE(
+      harness->agent(harness->cluster().machine(3)->name())->GetSpec("special-svc").has_value());
+}
+
+TEST(SpecFanoutTest, FirstBuildAfterAggregatorRestoreReachesEverySubscriber) {
+  // Builds every 5 minutes, a checkpoint every 15 and one crash, 24:00 to
+  // 24:30: the restore rewinds the build count from 4 to 2, so the second
+  // build after it (at 29:30) reuses version 4, which every subscriber
+  // already holds from before the crash. Its spec must still be delivered.
+  for (const bool flat : {true, false}) {
+    ClusterHarness::Options options;
+    options.cluster.seed = 5;
+    options.params = FastTestParams();
+    options.params.spec_update_interval = 5 * kMicrosPerMinute;
+    options.params.min_samples_per_task = 2;
+    options.params.flat_aggregation_path = flat;
+    options.faults.aggregator_outage_period = 24 * kMicrosPerHour;
+    options.faults.aggregator_outage_duration = 30 * kMicrosPerSecond;
+    options.faults.aggregator_outage_phase = 24 * kMicrosPerMinute;
+    options.faults.aggregator_crash_on_outage = true;
+    options.faults.aggregator_checkpoint_interval = 15 * kMicrosPerMinute;
+    ClusterHarness harness(options);
+    const int kMachines = 6;
+    harness.cluster().AddMachines(ReferencePlatform(), kMachines);
+    harness.cluster().BuildScheduler();
+    for (int i = 0; i < kMachines; ++i) {
+      (void)harness.cluster().machine(static_cast<size_t>(i))->AddTask(
+          StrFormat("websearch-leaf.%d", i), WebSearchLeafSpec());
+    }
+    harness.WireAgents();
+    const std::string label = flat ? "flat" : "tiered";
+    harness.RunFor(30 * kMicrosPerMinute);
+    ASSERT_EQ(harness.Health().aggregator_restores, 1) << label;
+
+    // Minute by minute from the first build after the restore that built
+    // a websearch spec, every agent holds the spec the aggregator would
+    // hand a new subscriber.
+    for (int minute = 0; minute < 10; ++minute) {
+      const auto current = harness.GetSpec("websearch-leaf", ReferencePlatform().name);
+      ASSERT_TRUE(current.has_value()) << label;
+      for (int i = 0; i < kMachines; ++i) {
+        const auto held =
+            harness.agent(harness.cluster().machine(static_cast<size_t>(i))->name())
+                ->GetSpec("websearch-leaf");
+        ASSERT_TRUE(held.has_value()) << label;
+        EXPECT_EQ(held->num_samples, current->num_samples) << label << " machine " << i;
+        EXPECT_EQ(held->cpi_mean, current->cpi_mean) << label << " machine " << i;
+      }
+      harness.RunFor(kMicrosPerMinute);
+    }
+  }
 }
 
 CpiSample MakeSample(const std::string& job, const std::string& task,

@@ -136,7 +136,7 @@ TEST_F(GoldenCompatTest, V2CheckpointLoadsForever) {
 
 TEST_F(GoldenCompatTest, LegacyRestoreRewritesToCurrentDefaultEncoding) {
   // Migration path: restore a v1 text checkpoint, checkpoint again — the
-  // rewrite is the current binary v3 and itself round-trips.
+  // rewrite is the current CPI2HAG2 and itself round-trips.
   const std::string path = WriteFixture("ckpt_v1.tsv", kV1CheckpointFixture);
   Aggregator aggregator(CheckpointParams());
   ASSERT_TRUE(aggregator.LoadCheckpoint(path).ok());
@@ -145,17 +145,20 @@ TEST_F(GoldenCompatTest, LegacyRestoreRewritesToCurrentDefaultEncoding) {
   std::ifstream in(rewritten_path, std::ios::binary);
   std::string magic(8, '\0');
   in.read(magic.data(), 8);
-  EXPECT_EQ(magic, "CPAGCKP3");
+  EXPECT_EQ(magic, "CPI2HAG2");
   Aggregator again(CheckpointParams());
   ASSERT_TRUE(again.LoadCheckpoint(rewritten_path).ok());
   EXPECT_EQ(again.Checkpoint(), aggregator.Checkpoint());
 }
 
 // ---------------------------------------------------------------------------
-// Binary aggregator checkpoints, byte-frozen: CPAGCKP3 (flat Aggregator) and
-// CPI2HAG1 (HierarchicalAggregator). Both come from the same small
-// deterministic state: two builds over three jobs, so the blobs hold a
-// dedup window, age-weighted history, specs and (tiered) per-spec versions.
+// Binary aggregator checkpoints, byte-frozen. Both aggregators write
+// CPI2HAG2; CPAGCKP3 (the flat Aggregator's old format) and CPI2HAG1 (the
+// HierarchicalAggregator's) are read-only now, and their fixtures were
+// written by the code that last wrote them. All four come from the same
+// small deterministic state: two builds over three jobs, so the blobs hold a
+// dedup window, age-weighted history, specs and (except CPAGCKP3) per-spec
+// versions.
 
 Cpi2Params GoldenAggregationParams() {
   Cpi2Params params;
@@ -215,8 +218,9 @@ std::unique_ptr<HierarchicalAggregator> GoldenTieredAggregator() {
   return aggregator;
 }
 
-// Written by GoldenFlatAggregator().Checkpoint(): M, W, one D record, then
-// one shard's H+S, another's H only, a third's H+S (spec_shards = 5).
+// Written by GoldenFlatAggregator().Checkpoint() when the flat aggregator
+// wrote CPAGCKP3: M, W, one D record, then one shard's H+S, another's H
+// only, a third's H+S (spec_shards = 5).
 constexpr char kFlatCheckpointHex[] =
     "43504147434b5033084d80b0b4f808020bfc8b0448065780d5cab209dd073233"
     "2c4404026d300b7765627365617263682e30026d310a6269677461626c652e31"
@@ -229,9 +233,9 @@ constexpr char kFlatCheckpointHex[] =
     "3f0000000000000240cdccccccccccbc3f000000000000d43ff54cb45d295301"
     "086269677461626c650478656f6e02000000000000d43f0000000000000240cd"
     "3b7f669ea0d63f9147551a";
-// Written by GoldenTieredAggregator()->Checkpoint(): the same records as one
-// H and one S record, each spec trailed by its build version (bigtable 1,
-// websearch 2).
+// Written by GoldenTieredAggregator()->Checkpoint() when the tiered
+// aggregator wrote CPI2HAG1: the same records as one H and one S record,
+// each spec trailed by its build version (bigtable 1, websearch 2).
 constexpr char kTieredCheckpointHex[] =
     "4350493248414731084d80b0b4f808020bfc8b0448065780d5cab209dd073233"
     "2c4404026d300b7765627365617263682e30026d310a6269677461626c652e31"
@@ -243,6 +247,34 @@ constexpr char kTieredCheckpointHex[] =
     "dc535302086269677461626c650478656f6e02000000000000d43f0000000000"
     "000240cd3b7f669ea0d63f01097765627365617263680478656f6e0500000000"
     "0000d43fdbb66ddbb6edf93fc46d21910881cb3f020d822782";
+// Written by GoldenFlatAggregator().Checkpoint() in CPI2HAG2: the CPAGCKP3
+// records above with each spec trailed by its build version, then the end
+// record counting the 7 records before it.
+constexpr char kFlatHag2Hex[] =
+    "4350493248414732084d80b0b4f808020bfc8b0448065780d5cab209dd073233"
+    "2c4404026d300b7765627365617263682e30026d310a6269677461626c652e31"
+    "02000180ccd0b109020380897a9318b600314801097765627365617263680478"
+    "656f6e6666666666661640dbb66ddbb6edf93ff88aaff88a2fcb3f0000000000"
+    "00d43ff99773832b5301097765627365617263680478656f6e05000000000000"
+    "d43fdbb66ddbb6edf93fc46d21910881cb3f02cf20168f2d480105766964656f"
+    "0478656f6e000000000000f03f00000000000008400000000000000000000000"
+    "000000d83fc915dc2e304801086269677461626c650478656f6ecdcccccccccc"
+    "fc3f0000000000000240cdccccccccccbc3f000000000000d43ff54cb45d2a53"
+    "01086269677461626c650478656f6e02000000000000d43f0000000000000240"
+    "cd3b7f669ea0d63f018e2917220245088d210cc2";
+// Written by GoldenTieredAggregator()->Checkpoint() in CPI2HAG2: the
+// CPI2HAG1 records above, then the end record counting the 5 before it.
+constexpr char kTieredHag2Hex[] =
+    "4350493248414732084d80b0b4f808020bfc8b0448065780d5cab209dd073233"
+    "2c4404026d300b7765627365617263682e30026d310a6269677461626c652e31"
+    "02000180ccd0b109020380897a9318b6008a014803086269677461626c650478"
+    "656f6ecdccccccccccfc3f0000000000000240cdccccccccccbc3f0000000000"
+    "00d43f05766964656f0478656f6e000000000000f03f00000000000008400000"
+    "000000000000000000000000d83f097765627365617263680478656f6e666666"
+    "6666661640dbb66ddbb6edf93ff88aaff88a2fcb3f000000000000d43fc10e61"
+    "dc535302086269677461626c650478656f6e02000000000000d43f0000000000"
+    "000240cd3b7f669ea0d63f01097765627365617263680478656f6e0500000000"
+    "0000d43fdbb66ddbb6edf93fc46d21910881cb3f020d822782024505305dbdbc";
 
 std::string FromHex(std::string_view hex) {
   std::string bytes;
@@ -252,20 +284,24 @@ std::string FromHex(std::string_view hex) {
   return bytes;
 }
 
-// The globally name-sorted spec state, every double bit-exact (%a). Shard
-// placement follows interner ids, which a restore assigns afresh, so the
-// restored flat builder is compared by content, not by record order.
-std::string DescribeSpecState(const SpecBuilder& builder) {
+// The globally name-sorted spec state, every double bit-exact (%a), with
+// spec versions unless `versions` is false. Shard placement follows
+// interner ids, which a restore assigns afresh, so the restored flat
+// builder is compared by content, not by record order.
+std::string DescribeSpecState(const SpecBuilder& builder, bool versions = true) {
   std::string out;
   for (const SpecBuilder::HistoryEntry& entry : builder.SnapshotHistory()) {
     out += StrFormat("H %s %s %a %a %a %a\n", entry.key.jobname.c_str(),
                      entry.key.platforminfo.c_str(), entry.count, entry.mean, entry.m2,
                      entry.usage_mean);
   }
-  for (const CpiSpec& spec : builder.SnapshotLatestSpecs()) {
-    out += StrFormat("S %s %s %lld %a %a %a\n", spec.jobname.c_str(), spec.platforminfo.c_str(),
+  for (const VersionedSpec& versioned : builder.SnapshotLatestSpecs()) {
+    const CpiSpec& spec = versioned.spec;
+    out += StrFormat("S %s %s %lld %a %a %a", spec.jobname.c_str(), spec.platforminfo.c_str(),
                      static_cast<long long>(spec.num_samples), spec.cpu_usage_mean,
                      spec.cpi_mean, spec.cpi_stddev);
+    out += versions ? StrFormat(" v%llu\n", static_cast<unsigned long long>(versioned.version))
+                    : "\n";
   }
   return out;
 }
@@ -285,38 +321,59 @@ CpiSample GoldenReplay() {
 TEST_F(GoldenCompatTest, TodaysFlatAggregatorStillWritesGoldenCheckpoint) {
   const Aggregator aggregator = GoldenFlatAggregator();
   EXPECT_EQ(aggregator.duplicates_dropped(), 1);
-  EXPECT_EQ(aggregator.Checkpoint(), FromHex(kFlatCheckpointHex));
+  EXPECT_EQ(aggregator.Checkpoint(), FromHex(kFlatHag2Hex));
 }
 
 TEST_F(GoldenCompatTest, GoldenFlatCheckpointRestoresExactly) {
+  // The read-only CPAGCKP3 fixture: the same state, except that its specs
+  // carry no version and so restore at the checkpoint's build count, 2.
   const std::string golden = FromHex(kFlatCheckpointHex);
   Aggregator live = GoldenFlatAggregator();
   Aggregator restored(GoldenAggregationParams());
   ASSERT_TRUE(restored.Restore(golden).ok());
   EXPECT_EQ(restored.builds_completed(), 2);
   EXPECT_EQ(restored.builder().samples_seen(), 11);
-  EXPECT_EQ(DescribeSpecState(restored.builder()), DescribeSpecState(live.builder()));
-  // Restored into an aggregator whose interner already placed every key,
-  // the state re-checkpoints to the golden bytes.
-  ASSERT_TRUE(live.Restore(golden).ok());
-  EXPECT_EQ(live.Checkpoint(), golden);
+  EXPECT_EQ(DescribeSpecState(restored.builder(), /*versions=*/false),
+            DescribeSpecState(live.builder(), /*versions=*/false));
+  EXPECT_EQ(restored.LatestSpec("websearch", "xeon")->version, 2u);
+  EXPECT_EQ(restored.LatestSpec("bigtable", "xeon")->version, 2u);
   // The dedup window came back: the replay is absorbed.
   restored.AddSample(GoldenReplay());
   EXPECT_EQ(restored.duplicates_dropped(), 1);
   EXPECT_EQ(restored.builder().samples_seen(), 11);
 }
 
+TEST_F(GoldenCompatTest, GoldenFlatHag2CheckpointRestoresExactly) {
+  const std::string golden = FromHex(kFlatHag2Hex);
+  Aggregator live = GoldenFlatAggregator();
+  Aggregator restored(GoldenAggregationParams());
+  ASSERT_TRUE(restored.Restore(golden).ok());
+  EXPECT_EQ(restored.builds_completed(), 2);
+  EXPECT_EQ(restored.builder().samples_seen(), 11);
+  EXPECT_EQ(DescribeSpecState(restored.builder()), DescribeSpecState(live.builder()));
+  EXPECT_EQ(restored.LatestSpec("websearch", "xeon")->version, 2u);
+  EXPECT_EQ(restored.LatestSpec("bigtable", "xeon")->version, 1u);
+  // Restored into an aggregator whose interner already placed every key,
+  // the state re-checkpoints to the golden bytes.
+  ASSERT_TRUE(live.Restore(golden).ok());
+  EXPECT_EQ(live.Checkpoint(), golden);
+  restored.AddSample(GoldenReplay());
+  EXPECT_EQ(restored.duplicates_dropped(), 1);
+}
+
 TEST_F(GoldenCompatTest, TodaysTieredAggregatorStillWritesGoldenCheckpoint) {
   const auto aggregator = GoldenTieredAggregator();
   EXPECT_EQ(aggregator->duplicates_dropped(), 1);
-  EXPECT_EQ(aggregator->Checkpoint(), FromHex(kTieredCheckpointHex));
+  EXPECT_EQ(aggregator->Checkpoint(), FromHex(kTieredHag2Hex));
 }
 
 TEST_F(GoldenCompatTest, GoldenTieredCheckpointRestoresExactly) {
+  // The read-only CPI2HAG1 fixture holds the CPI2HAG2 fixture's state: it
+  // re-checkpoints to exactly those bytes.
   const std::string golden = FromHex(kTieredCheckpointHex);
   HierarchicalAggregator restored(GoldenAggregationParams());
   ASSERT_TRUE(restored.Restore(golden).ok());
-  EXPECT_EQ(restored.Checkpoint(), golden);
+  EXPECT_EQ(restored.Checkpoint(), FromHex(kTieredHag2Hex));
   EXPECT_EQ(restored.builds_completed(), 2);
   EXPECT_EQ(restored.samples_seen(), 11);
   const auto websearch = restored.LatestSpec("websearch", "xeon");
@@ -332,11 +389,33 @@ TEST_F(GoldenCompatTest, GoldenTieredCheckpointRestoresExactly) {
 }
 
 // ---------------------------------------------------------------------------
-// Corruption sweep over the binary checkpoint decoder, once per magic. Every
-// damaged blob must be rejected and must leave the target untouched: its
-// checkpoint bytes and build count are compared before and after.
+// Corruption sweep over the binary checkpoint decoder, once per golden
+// fixture. Every damaged blob must be rejected and must leave the target
+// untouched: its checkpoint bytes and build count are compared before and
+// after.
 
-enum class CheckpointKind { kFlat, kTiered };
+// Which golden fixture is swept, and into which aggregator: the read-only
+// CPAGCKP3 (flat) and CPI2HAG1 (tiered) fixtures, and the CPI2HAG2 fixture
+// each aggregator writes.
+enum class CheckpointKind { kFlat, kTiered, kFlatHag2, kTieredHag2 };
+
+bool IsFlat(CheckpointKind kind) {
+  return kind == CheckpointKind::kFlat || kind == CheckpointKind::kFlatHag2;
+}
+
+const char* GoldenHex(CheckpointKind kind) {
+  switch (kind) {
+    case CheckpointKind::kFlat:
+      return kFlatCheckpointHex;
+    case CheckpointKind::kTiered:
+      return kTieredCheckpointHex;
+    case CheckpointKind::kFlatHag2:
+      return kFlatHag2Hex;
+    case CheckpointKind::kTieredHag2:
+      return kTieredHag2Hex;
+  }
+  return "";
+}
 
 // One restore target per format, behind a uniform face. The target holds a
 // state unlike the golden one (a third build), so a damaged blob that
@@ -344,7 +423,7 @@ enum class CheckpointKind { kFlat, kTiered };
 class CheckpointTarget {
  public:
   explicit CheckpointTarget(CheckpointKind kind) {
-    if (kind == CheckpointKind::kFlat) {
+    if (IsFlat(kind)) {
       flat_ = std::make_unique<Aggregator>(GoldenFlatAggregator());
       (void)flat_->ForceBuild(30 * kMicrosPerMinute);
     } else {
@@ -368,8 +447,7 @@ class CheckpointTarget {
 class CheckpointCorruptionTest : public ::testing::TestWithParam<CheckpointKind> {
  protected:
   CheckpointCorruptionTest()
-      : golden_(FromHex(GetParam() == CheckpointKind::kFlat ? kFlatCheckpointHex
-                                                            : kTieredCheckpointHex)),
+      : golden_(FromHex(GoldenHex(GetParam()))),
         target_(GetParam()),
         before_(target_.Checkpoint()),
         builds_before_(target_.builds_completed()) {}
@@ -387,9 +465,12 @@ class CheckpointCorruptionTest : public ::testing::TestWithParam<CheckpointKind>
     return ::testing::AssertionSuccess();
   }
 
-  // The golden magic plus a valid metadata record: the prefix every crafted
-  // record is appended to.
-  std::string MagicAndMeta() const {
+  bool HasEndRecord() const { return golden_.rfind("CPI2HAG2", 0) == 0; }
+
+  // The golden magic, a valid metadata record, then `payloads` framed, and
+  // in CPI2HAG2 an end record counting `end_count` records (default: all of
+  // them).
+  std::string Crafted(const std::vector<std::string>& payloads, int end_count = -1) const {
     std::string blob = golden_.substr(0, kWireMagicSize);
     std::string payload;
     WireWriter meta(&payload);
@@ -398,6 +479,16 @@ class CheckpointCorruptionTest : public ::testing::TestWithParam<CheckpointKind>
     meta.PutVarint(1);
     meta.PutVarint(1);
     AppendFramedRecord(&blob, payload);
+    for (const std::string& record : payloads) {
+      AppendFramedRecord(&blob, record);
+    }
+    if (HasEndRecord()) {
+      std::string end_payload;
+      WireWriter end(&end_payload);
+      end.PutByte('E');
+      end.PutVarint(end_count >= 0 ? static_cast<uint64_t>(end_count) : 1 + payloads.size());
+      AppendFramedRecord(&blob, end_payload);
+    }
     return blob;
   }
 
@@ -427,10 +518,11 @@ TEST_P(CheckpointCorruptionTest, EveryTruncationInsideARecordIsRejected) {
   const std::vector<size_t> boundaries = RecordBoundaries();
   ASSERT_EQ(boundaries.back(), golden_.size());
   for (size_t length = 0; length < golden_.size(); ++length) {
-    if (length > kWireMagicSize &&
+    if (!HasEndRecord() && length > kWireMagicSize &&
         std::find(boundaries.begin(), boundaries.end(), length) != boundaries.end()) {
-      // A cut between records leaves a well-formed checkpoint holding fewer
-      // records; the format has no end record to tell it from a whole one.
+      // In the read-only formats a cut between records leaves a well-formed
+      // checkpoint holding fewer records: they have no end record to tell
+      // it from a whole one. CPI2HAG2 rejects every cut.
       continue;
     }
     EXPECT_TRUE(RejectedUntouched(golden_.substr(0, length))) << "length " << length;
@@ -448,15 +540,16 @@ TEST_P(CheckpointCorruptionTest, EverySingleBitFlipIsRejected) {
 }
 
 TEST_P(CheckpointCorruptionTest, CrcValidCraftedRecordsAreRejected) {
-  const auto with_record = [&](const std::function<void(WireWriter&)>& fill) {
+  const auto payload_of = [](const std::function<void(WireWriter&)>& fill) {
     std::string payload;
     WireWriter record(&payload);
     fill(record);
-    std::string blob = MagicAndMeta();
-    AppendFramedRecord(&blob, payload);
-    return blob;
+    return payload;
   };
-  ASSERT_TRUE(CheckpointTarget(GetParam()).Restore(MagicAndMeta()).ok());
+  const auto with_record = [&](const std::function<void(WireWriter&)>& fill) {
+    return Crafted({payload_of(fill)});
+  };
+  ASSERT_TRUE(CheckpointTarget(GetParam()).Restore(Crafted({})).ok());
 
   // A dedup entry naming dictionary slot 3 of a one-name dictionary.
   EXPECT_TRUE(RejectedUntouched(with_record([](WireWriter& w) {
@@ -488,14 +581,51 @@ TEST_P(CheckpointCorruptionTest, CrcValidCraftedRecordsAreRejected) {
     w.PutString("job");
     w.PutString("xeon");
   })));
+  // An end record in a format that has none, or one that miscounts.
+  const std::string end_record = payload_of([](WireWriter& w) {
+    w.PutByte('E');
+    w.PutVarint(1);
+  });
+  if (HasEndRecord()) {
+    EXPECT_TRUE(RejectedUntouched(Crafted({}, /*end_count=*/0)));
+    EXPECT_TRUE(RejectedUntouched(Crafted({}, /*end_count=*/2)));
+    // A record after the end record.
+    std::string trailing = Crafted({});
+    AppendFramedRecord(&trailing, end_record);
+    EXPECT_TRUE(RejectedUntouched(trailing));
+    // A spec stamped with version 0, the harness's "never delivered".
+    EXPECT_TRUE(RejectedUntouched(with_record([](WireWriter& w) {
+      w.PutByte('S');
+      w.PutVarint(1);
+      w.PutString("job");
+      w.PutString("xeon");
+      w.PutVarint(10);
+      w.PutDouble(0.5);
+      w.PutDouble(1.5);
+      w.PutDouble(0.1);
+      w.PutVarint(0);
+    })));
+  } else {
+    EXPECT_TRUE(RejectedUntouched(Crafted({end_record})));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Formats, CheckpointCorruptionTest,
-    ::testing::Values(CheckpointKind::kFlat, CheckpointKind::kTiered),
+    ::testing::Values(CheckpointKind::kFlat, CheckpointKind::kTiered, CheckpointKind::kFlatHag2,
+                      CheckpointKind::kTieredHag2),
     [](const ::testing::TestParamInfo<CheckpointKind>& param_info) {
-      return param_info.param == CheckpointKind::kFlat ? std::string("CPAGCKP3")
-                                                 : std::string("CPI2HAG1");
+      switch (param_info.param) {
+        case CheckpointKind::kFlat:
+          return std::string("CPAGCKP3");
+        case CheckpointKind::kTiered:
+          return std::string("CPI2HAG1");
+        case CheckpointKind::kFlatHag2:
+          return std::string("CPI2HAG2_flat");
+        case CheckpointKind::kTieredHag2:
+          return std::string("CPI2HAG2_tiered");
+      }
+      return std::string();
     });
 
 // ---------------------------------------------------------------------------

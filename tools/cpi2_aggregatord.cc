@@ -16,7 +16,7 @@
 // way the unique-sample totals are exact after restart.
 //
 // State file layout: one JSON line (the counters), '\n', then the raw
-// CPAGCKP3 aggregator checkpoint blob.
+// CPI2HAG2 aggregator checkpoint blob (an older CPAGCKP3 blob still loads).
 //
 // Flags:
 //   --listen=ADDR          "host:port" (port 0 = pick) or "unix:/path"

@@ -3,14 +3,16 @@
 // Sniffs the 8-byte magic and renders the file for humans:
 //   CPI2SMB1  sample batch      -> one row per sample
 //   CPI2INC2  incident log v2   -> one row per incident + skip report
-//   CPAGCKP3  aggregator ckpt   -> the equivalent v2 text checkpoint
+//   CPI2HAG2, CPI2HAG1, CPAGCKP3  aggregator checkpoint -> build clock,
+//             dedup window, history and specs (with versions), as decoded
 //   CPI2NET1  captured socket stream -> one line per frame, with the BYTE
 //             OFFSET of any corrupt or truncated frame (triage for tcpdump
 //             captures of the agentd->aggregatord data plane)
 //   CPI2SKT1  partial-spec frame (cell -> global tier) -> one row per
 //             job x platform partial with the sketch's derived moments
-// Text-era files (cpi2-incidents-v1, cpi2-aggregator-ckpt-v*,
-// cpi2-samples-v1) are already human-readable and are echoed through.
+// Text checkpoints (cpi2-aggregator-ckpt-v*) render like the binary ones.
+// Other text-era files (cpi2-incidents-v1, cpi2-samples-v1) are already
+// human-readable and are echoed through.
 //
 // Usage: wiredump [--summary] <file> [file...]
 //        wiredump -            (read one artifact from stdin)
@@ -26,9 +28,8 @@
 #include <string>
 #include <vector>
 
-#include "core/aggregator.h"
+#include "core/aggregator_checkpoint.h"
 #include "core/incident.h"
-#include "core/params.h"
 #include "net/frame.h"
 #include "util/file_util.h"
 #include "util/status.h"
@@ -105,21 +106,42 @@ int DumpIncidentFile(const std::string& contents) {
 }
 
 int DumpCheckpoint(const std::string& contents) {
-  // Restore the binary checkpoint, then render the restored state as a v2
-  // text checkpoint: the human-readable form, bit-identical in content.
-  Aggregator aggregator(Cpi2Params{});
-  const Status status = aggregator.Restore(contents);
+  // Every format decodes to one CheckpointState, so every format renders
+  // the same way; doubles print with %.17g, which round-trips exactly.
+  CheckpointState state;
+  const Status status = DecodeCheckpoint(contents, &state);
   if (!status.ok()) {
     std::fprintf(stderr, "undecodable checkpoint: %s\n", status.ToString().c_str());
     return 1;
   }
+  std::printf("aggregator checkpoint %s (%zu bytes): last_build=%lld builds=%lld "
+              "samples_seen=%lld watermark=%lld dedup=%zu history=%zu specs=%zu\n",
+              state.format.c_str(), contents.size(),
+              static_cast<long long>(state.clock.last_build),
+              static_cast<long long>(state.clock.builds_completed),
+              static_cast<long long>(state.samples_seen),
+              static_cast<long long>(state.watermark), state.dedup_entries.size(),
+              state.history.size(), state.specs.size());
   if (g_summary) {
-    std::printf("aggregator checkpoint (binary v3, %zu bytes): restores cleanly\n",
-                contents.size());
     return 0;
   }
-  std::printf("aggregator checkpoint (binary v3, %zu bytes) as text:\n%s",
-              contents.size(), aggregator.CheckpointText().c_str());
+  for (const SampleDedup::NamedEntry& entry : state.dedup_entries) {
+    std::printf("  D %lld %s %s\n", static_cast<long long>(entry.timestamp),
+                entry.machine.c_str(), entry.task.c_str());
+  }
+  for (const SpecBuilder::HistoryEntry& entry : state.history) {
+    std::printf("  H %s %s count=%.17g mean=%.17g m2=%.17g usage_mean=%.17g\n",
+                entry.key.jobname.c_str(), entry.key.platforminfo.c_str(), entry.count,
+                entry.mean, entry.m2, entry.usage_mean);
+  }
+  for (const VersionedSpec& versioned : state.specs) {
+    const CpiSpec& spec = versioned.spec;
+    std::printf("  S %s %s version=%llu n=%lld usage=%.17g mean=%.17g stddev=%.17g\n",
+                spec.jobname.c_str(), spec.platforminfo.c_str(),
+                static_cast<unsigned long long>(versioned.version),
+                static_cast<long long>(spec.num_samples), spec.cpu_usage_mean, spec.cpi_mean,
+                spec.cpi_stddev);
+  }
   return 0;
 }
 
@@ -395,7 +417,10 @@ int DumpContents(const std::string& contents) {
   if (HasWireMagic(contents, kSketchFrameMagic)) {
     return DumpSketchFrame(contents);
   }
-  if (contents.rfind("CPAGCKP3", 0) == 0) {
+  if (HasWireMagic(contents, kCheckpointMagic) ||
+      HasWireMagic(contents, kCheckpointMagicV1Tiered) ||
+      HasWireMagic(contents, kCheckpointMagicV3Flat) ||
+      contents.rfind("cpi2-aggregator-ckpt-", 0) == 0) {
     return DumpCheckpoint(contents);
   }
   if (contents.rfind("cpi2-", 0) == 0) {
